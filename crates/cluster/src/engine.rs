@@ -31,12 +31,13 @@ use crate::dispatch::{
 };
 use crate::fleet::{Fleet, FleetConfig};
 use crate::job::Job;
+use crate::ledger::{PowerTally, RackLedger, TimedHeap};
 use crate::metrics::{
     integrate_energy, FleetSample, FleetTrace, HallStats, KernelStats, LatencyHistogram, Placement,
     ServingOutcome, ServingSample, SimResult, TelemetryConfig,
 };
 use crate::queue::{CalendarQueue, KernelQueue, QueueStats};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use tps_core::{MinPowerSelector, RunError};
 use tps_units::{Celsius, Seconds, Watts};
 use tps_workload::{Benchmark, QosClass};
@@ -120,41 +121,10 @@ impl Event {
 /// ```
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    /// Min-heap over the full `(time_bits, class, seq)` key — the
-    /// tie-break is total, so heap-internal order never leaks into
-    /// results. `f64::to_bits` is monotone for the non-negative times in
-    /// play.
-    heap: std::collections::BinaryHeap<QueueEntry>,
-    seq: u64,
+    /// Min-heap over the full `(time, class, seq)` key — the tie-break is
+    /// total, so heap-internal order never leaks into results.
+    heap: TimedHeap<Event>,
     peak: usize,
-}
-
-/// One scheduled event; ordered *descending* by key so the std max-heap
-/// pops the earliest `(time, class, seq)` first.
-#[derive(Debug)]
-struct QueueEntry {
-    key: (u64, u8, u64),
-    event: Event,
-}
-
-impl PartialEq for QueueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl Eq for QueueEntry {}
-
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.key.cmp(&self.key)
-    }
 }
 
 impl EventQueue {
@@ -173,19 +143,13 @@ impl EventQueue {
             time.value() >= 0.0 && time.value().is_finite(),
             "event time must be non-negative and finite, got {time}"
         );
-        self.heap.push(QueueEntry {
-            key: (time.value().to_bits(), event.class(), self.seq),
-            event,
-        });
-        self.seq += 1;
+        self.heap.push(time.value(), event.class(), event);
         self.peak = self.peak.max(self.heap.len());
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(Seconds, Event)> {
-        self.heap
-            .pop()
-            .map(|e| (Seconds::new(f64::from_bits(e.key.0)), e.event))
+        self.heap.pop().map(|(t, e)| (Seconds::new(t), e))
     }
 
     /// Pending events.
@@ -195,7 +159,7 @@ impl EventQueue {
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.len() == 0
     }
 
     /// Lifetime counters: total pushes and peak depth. The heap has no
@@ -203,7 +167,7 @@ impl EventQueue {
     /// pending event owns one heap node).
     pub fn stats(&self) -> QueueStats {
         QueueStats {
-            pushed: self.seq,
+            pushed: self.heap.pushed(),
             peak_depth: self.peak,
             arena_high_water: self.peak,
         }
@@ -220,36 +184,15 @@ impl EventQueue {
 /// occupied racks ordered by `(heat bits, rack)`, the idle racks per rack
 /// group, and a per-rack mutation stamp. Each placement or expiry touches
 /// exactly one rack, so the index updates in O(log racks) — this is what
-/// lets dispatchers skip the per-arrival full-fleet rescan.
-///
-/// Invariant note: the heat-sum / water-multiset / pin-drained-to-zero
-/// bookkeeping here is mirrored (over different windows and orderings)
-/// by the kernel's `RunningSet` and by `integrate_energy`'s event sweep
-/// — a change to the accumulation rules must land in all three, and the
-/// property tests plus the golden bit-for-bit fleet test pin the
-/// behavior.
+/// lets dispatchers skip the per-arrival full-fleet rescan. The per-rack
+/// heat/water/count rule itself lives in the committed `RackLedger`.
 #[derive(Debug)]
 pub struct RackLoads {
-    heat: Vec<f64>,
-    /// Multiset of tolerable-water keys per rack, as an ascending sorted
-    /// `(key, count)` vector; `f64::to_bits` is monotone for the
-    /// non-negative temperatures in play and round-trips the exact value.
-    /// A vector, not a `BTreeMap`: the handful of distinct keys per rack
-    /// makes the binary search trivial, and the capacity survives the
-    /// rack draining — no node allocation per placement on the hot path.
-    water: Vec<Vec<(u64, u32)>>,
-    count: Vec<usize>,
-    /// Min-heap of `(end_bits, insertion seq, rack, heat_bits,
-    /// water_bits)`. The unique seq makes the key total, so pops replay
-    /// the exact `(end, insertion)` order a sorted map would — on a flat
-    /// array instead of B-tree nodes (this is a per-placement hot path).
-    expiry: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize, u32, u64, u64)>>,
-    seq: usize,
-    total: usize,
-    /// The current dispatch view per rack, kept exactly equal to what a
-    /// from-scratch rebuild would produce (heat clamped non-negative,
-    /// coldest committed water, committed count).
-    views: Vec<RackView>,
+    /// The committed per-rack views.
+    ledger: RackLedger,
+    /// Pending expiries `(rack, heat, water bits)`, earliest end first —
+    /// one per committed placement.
+    expiry: TimedHeap<(u32, f64, u64)>,
     /// Racks with committed load, an ascending sorted vector keyed
     /// `(view-heat bits, rack)` — the clamped heat is non-negative, so
     /// `to_bits` sorts like the float. A vector, not a tree: dispatchers
@@ -367,20 +310,8 @@ impl RackLoads {
         }
         let idle_min = idle.iter().map(|s| s.first().copied()).collect();
         Self {
-            heat: vec![0.0; racks],
-            water: vec![Vec::new(); racks],
-            count: vec![0; racks],
-            expiry: std::collections::BinaryHeap::new(),
-            seq: 0,
-            total: 0,
-            views: vec![
-                RackView {
-                    heat: Watts::new(0.0),
-                    supply: None,
-                    committed: 0,
-                };
-                racks
-            ],
+            ledger: RackLedger::new(racks),
+            expiry: TimedHeap::default(),
             occupied: Vec::new(),
             idle,
             idle_min,
@@ -392,90 +323,61 @@ impl RackLoads {
 
     /// Number of racks.
     pub fn racks(&self) -> usize {
-        self.heat.len()
+        self.ledger.views().len()
     }
 
     /// Committed placements across all racks.
     pub fn total_committed(&self) -> usize {
-        self.total
+        self.expiry.len()
     }
 
-    /// Re-derives `rack`'s view and index membership after a mutation.
-    /// The view expressions are exactly the from-scratch rebuild's, so
-    /// the maintained views stay bit-identical to [`views`](Self::views).
-    fn sync_rack(&mut self, rack: usize, was_occupied: bool, old_bits: u64) {
-        let view = RackView {
-            heat: Watts::new(self.heat[rack].max(0.0)),
-            supply: self.water[rack]
-                .first()
-                .map(|&(bits, _)| Celsius::new(f64::from_bits(bits))),
-            committed: self.count[rack],
-        };
-        let new_bits = view.heat.value().to_bits();
-        let now_occupied = view.committed > 0;
-        let supply_bits = view
-            .supply
-            .map_or(OccupiedRack::NO_SUPPLY, |s| s.value().to_bits());
-        self.views[rack] = view;
+    /// Re-derives `rack`'s index membership after a ledger mutation that
+    /// moved its view from `old`.
+    fn sync_rack(&mut self, rack: usize, old: RackView) {
+        let view = self.ledger.view(rack);
         let r = rack as u32;
-        let g = self.group_of[rack] as usize;
         let entry = OccupiedRack {
-            heat_bits: new_bits,
+            heat_bits: view.heat.value().to_bits(),
             rack: r,
             group: self.group_of[rack],
-            supply_bits,
+            supply_bits: view
+                .supply
+                .map_or(OccupiedRack::NO_SUPPLY, |s| s.value().to_bits()),
         };
-        match (was_occupied, now_occupied) {
-            (false, true) => {
-                self.idle[g].remove(&r);
-                if self.idle_min[g] == Some(r) {
-                    self.idle_min[g] = self.idle[g].first().copied();
-                }
-                if let Err(at) = self
-                    .occupied
-                    .binary_search_by_key(&(new_bits, r), |e| e.key())
-                {
-                    self.occupied.insert(at, entry);
+        let (was, now) = (old.committed > 0, view.committed > 0);
+        let old_key = (old.heat.value().to_bits(), r);
+        let occupied = &mut self.occupied;
+        let find = |occ: &[OccupiedRack], key| occ.binary_search_by_key(&key, |e| e.key());
+        if was && now && old_key == entry.key() {
+            // Heat unchanged but the supply may have moved (e.g. a
+            // zero-heat placement changing the coldest water demand):
+            // keep the inline fields in lockstep with the view.
+            if let Ok(at) = find(occupied, old_key) {
+                occupied[at] = entry;
+            }
+        } else {
+            if was {
+                if let Ok(at) = find(occupied, old_key) {
+                    occupied.remove(at);
                 }
             }
-            (true, false) => {
-                if let Ok(at) = self
-                    .occupied
-                    .binary_search_by_key(&(old_bits, r), |e| e.key())
-                {
-                    self.occupied.remove(at);
-                }
-                self.idle[g].insert(r);
-                if self.idle_min[g].map_or(true, |m| r < m) {
-                    self.idle_min[g] = Some(r);
+            if now {
+                if let Err(at) = find(occupied, entry.key()) {
+                    occupied.insert(at, entry);
                 }
             }
-            (true, true) => {
-                if old_bits != new_bits {
-                    if let Ok(at) = self
-                        .occupied
-                        .binary_search_by_key(&(old_bits, r), |e| e.key())
-                    {
-                        self.occupied.remove(at);
-                    }
-                    if let Err(at) = self
-                        .occupied
-                        .binary_search_by_key(&(new_bits, r), |e| e.key())
-                    {
-                        self.occupied.insert(at, entry);
-                    }
-                } else if let Ok(at) = self
-                    .occupied
-                    .binary_search_by_key(&(new_bits, r), |e| e.key())
-                {
-                    // Heat unchanged but the supply may have moved (e.g. a
-                    // zero-heat placement changing the coldest water
-                    // demand): keep the inline fields in lockstep with the
-                    // view.
-                    self.occupied[at].supply_bits = supply_bits;
-                }
+        }
+        let g = entry.group as usize;
+        if !was && now {
+            self.idle[g].remove(&r);
+            if self.idle_min[g] == Some(r) {
+                self.idle_min[g] = self.idle[g].first().copied();
             }
-            (false, false) => {}
+        } else if was && !now {
+            self.idle[g].insert(r);
+            if self.idle_min[g].map_or(true, |m| r < m) {
+                self.idle_min[g] = Some(r);
+            }
         }
         self.stamp_clock += 1;
         self.stamps[rack] = self.stamp_clock;
@@ -487,25 +389,12 @@ impl RackLoads {
     ///
     /// Panics if `rack` is out of range.
     pub fn add(&mut self, rack: usize, state: &SteadyState, end: Seconds) {
-        let was_occupied = self.count[rack] > 0;
-        let old_bits = self.views[rack].heat.value().to_bits();
-        let water_bits = state.max_water_temp.value().to_bits();
-        self.heat[rack] += state.heat.value();
-        self.count[rack] += 1;
-        self.total += 1;
-        match self.water[rack].binary_search_by_key(&water_bits, |e| e.0) {
-            Ok(i) => self.water[rack][i].1 += 1,
-            Err(i) => self.water[rack].insert(i, (water_bits, 1)),
-        }
-        self.expiry.push(std::cmp::Reverse((
-            end.value().to_bits(),
-            self.seq,
-            rack as u32,
-            state.heat.value().to_bits(),
-            water_bits,
-        )));
-        self.seq += 1;
-        self.sync_rack(rack, was_occupied, old_bits);
+        let old = self.ledger.view(rack);
+        let (heat, water_bits) = (state.heat.value(), state.max_water_temp.value().to_bits());
+        self.ledger.add(rack, heat, water_bits);
+        self.expiry
+            .push(end.value(), 0, (rack as u32, heat, water_bits));
+        self.sync_rack(rack, old);
     }
 
     /// Drops every placement with `end ≤ now` (it covered `[start, end)`),
@@ -513,47 +402,25 @@ impl RackLoads {
     /// Returns how many placements expired.
     pub fn expire_until(&mut self, now: Seconds) -> usize {
         let mut expired = 0;
-        while let Some(&std::cmp::Reverse((end_bits, _, rack, heat_bits, water_bits))) =
-            self.expiry.peek()
-        {
-            if f64::from_bits(end_bits) > now.value() {
-                break;
-            }
-            let (rack, heat) = (rack as usize, f64::from_bits(heat_bits));
+        while let Some((rack, heat, water_bits)) = self.expiry.pop_due(now.value()) {
+            let rack = rack as usize;
             expired += 1;
-            self.expiry.pop();
-            let was_occupied = self.count[rack] > 0;
-            let old_bits = self.views[rack].heat.value().to_bits();
-            self.heat[rack] -= heat;
-            self.count[rack] -= 1;
-            self.total -= 1;
-            if let Ok(i) = self.water[rack].binary_search_by_key(&water_bits, |e| e.0) {
-                self.water[rack][i].1 -= 1;
-                if self.water[rack][i].1 == 0 {
-                    self.water[rack].remove(i);
-                }
-            }
-            // Pin drained racks back to exact zero: float residue must not
-            // perturb later dispatch comparisons.
-            if self.count[rack] == 0 {
-                self.heat[rack] = 0.0;
-            }
-            self.sync_rack(rack, was_occupied, old_bits);
+            let old = self.ledger.view(rack);
+            self.ledger.remove(rack, heat, water_bits);
+            self.sync_rack(rack, old);
         }
         expired
     }
 
     /// The earliest pending expiry, `None` while nothing is committed.
     pub fn next_expiry(&self) -> Option<f64> {
-        self.expiry
-            .peek()
-            .map(|&std::cmp::Reverse((end_bits, ..))| f64::from_bits(end_bits))
+        self.expiry.next_time()
     }
 
     /// The maintained per-rack dispatch views — always equal to what a
     /// from-scratch rebuild would compute.
     pub fn view_slice(&self) -> &[RackView] {
-        &self.views
+        self.ledger.views()
     }
 
     /// Racks with committed load, ordered `(view-heat bits, rack)`, each
@@ -592,13 +459,13 @@ impl RackLoads {
     /// [`view_slice`](Self::view_slice).
     pub fn views_into(&self, out: &mut Vec<RackView>) {
         out.clear();
-        out.extend_from_slice(&self.views);
+        out.extend_from_slice(self.ledger.views());
     }
 
     /// The per-rack dispatch views as a fresh vector (allocating
     /// convenience over [`views_into`](Self::views_into)).
     pub fn views(&self) -> Vec<RackView> {
-        self.views.clone()
+        self.ledger.views().to_vec()
     }
 }
 
@@ -619,19 +486,10 @@ pub struct HallLoads {
     bounds: Vec<(usize, usize)>,
     /// Rack → owning hall.
     hall_of: Vec<u32>,
-    /// Committed placements across all halls (Σ per-hall totals — an
-    /// integer, so the split cannot perturb it).
-    total: usize,
     /// Per-hall placement counters (diagnostics only).
     adds: Vec<u64>,
     /// Per-hall expiry counters (diagnostics only).
     expired: Vec<u64>,
-    /// Per-hall earliest pending expiry (`f64::INFINITY` when drained) —
-    /// one contiguous compare per hall lets `expire_until` skip quiet
-    /// halls without touching their heaps. Always a lower bound on the
-    /// hall's true front, so a skip expires exactly what the hall itself
-    /// would have expired: nothing.
-    next_end: Vec<f64>,
 }
 
 impl HallLoads {
@@ -665,10 +523,8 @@ impl HallLoads {
             parts,
             bounds,
             hall_of,
-            total: 0,
             adds: vec![0; shards],
             expired: vec![0; shards],
-            next_end: vec![f64::INFINITY; shards],
         }
     }
 
@@ -705,7 +561,7 @@ impl HallLoads {
 
     /// Committed placements across all halls.
     pub fn total_committed(&self) -> usize {
-        self.total
+        self.parts.iter().map(RackLoads::total_committed).sum()
     }
 
     /// Commits `state`'s load to `rack`'s hall until `end`.
@@ -713,28 +569,16 @@ impl HallLoads {
         let h = self.hall_of[rack] as usize;
         self.parts[h].add(rack, state, end);
         self.adds[h] += 1;
-        self.total += 1;
-        if end.value() < self.next_end[h] {
-            self.next_end[h] = end.value();
-        }
     }
 
     /// Expires every placement with `end ≤ now`, hall by hall in
     /// ascending order. Halls are disjoint — each expiry touches only its
     /// own rack's floats, and the per-rack `(end, insertion)` fold order
     /// inside a hall matches the global kernel's, so the cross-hall
-    /// processing order cannot change any bit of state. Halls whose
-    /// cached earliest expiry is still in the future are skipped without
-    /// touching their heaps — they would have expired nothing.
+    /// processing order cannot change any bit of state.
     pub fn expire_until(&mut self, now: Seconds) {
-        for (h, part) in self.parts.iter_mut().enumerate() {
-            if now.value() < self.next_end[h] {
-                continue;
-            }
-            let n = part.expire_until(now);
-            self.expired[h] += n as u64;
-            self.total -= n;
-            self.next_end[h] = part.next_expiry().unwrap_or(f64::INFINITY);
+        for (part, expired) in self.parts.iter_mut().zip(&mut self.expired) {
+            *expired += part.expire_until(now) as u64;
         }
     }
 
@@ -760,42 +604,27 @@ struct RunningRec {
 }
 
 /// The *running* (started, not finished) layer of the fleet, maintained
-/// lazily for telemetry and control snapshots. Distinct from
-/// [`RackLoads`], which tracks *committed* (running or queued) load —
-/// the quantity dispatch decisions are made against. Shares its
-/// accumulation rules with [`RackLoads`] and `integrate_energy` (see the
-/// invariant note on [`RackLoads`]).
+/// lazily for telemetry and control snapshots: the running
+/// [`RackLedger`] and [`PowerTally`]. Distinct from [`RackLoads`], which
+/// tracks *committed* (running or queued) load — the quantity dispatch
+/// decisions are made against.
 #[derive(Debug)]
 struct RunningSet {
-    /// Placements not yet started: `(start_bits, seq) → rec`.
-    starts: BTreeMap<(u64, u64), RunningRec>,
-    /// Placements started, not yet folded out: `(end_bits, seq) → rec`.
-    ends: BTreeMap<(u64, u64), RunningRec>,
-    seq: u64,
-    active_power: f64,
-    heat: Vec<f64>,
-    water: Vec<BTreeMap<u64, usize>>,
-    count: Vec<usize>,
-    running: usize,
-    /// Per-class running counts and active package power (telemetry's
-    /// per-class columns on heterogeneous fleets).
-    class_running: Vec<usize>,
-    class_power: Vec<f64>,
+    /// Placements not yet started, earliest start first.
+    starts: TimedHeap<RunningRec>,
+    /// Placements started, not yet folded out, earliest end first.
+    ends: TimedHeap<RunningRec>,
+    ledger: RackLedger,
+    tally: PowerTally,
 }
 
 impl RunningSet {
     fn new(racks: usize, classes: usize) -> Self {
         Self {
-            starts: BTreeMap::new(),
-            ends: BTreeMap::new(),
-            seq: 0,
-            active_power: 0.0,
-            heat: vec![0.0; racks],
-            water: vec![BTreeMap::new(); racks],
-            count: vec![0; racks],
-            running: 0,
-            class_running: vec![0; classes],
-            class_power: vec![0.0; classes],
+            starts: TimedHeap::default(),
+            ends: TimedHeap::default(),
+            ledger: RackLedger::new(racks),
+            tally: PowerTally::new(classes),
         }
     }
 
@@ -814,55 +643,20 @@ impl RunningSet {
             power: state.package_power.value(),
             water_bits: state.max_water_temp.value().to_bits(),
         };
-        self.starts.insert((start.value().to_bits(), self.seq), rec);
-        self.ends.insert((end.value().to_bits(), self.seq), rec);
-        self.seq += 1;
+        self.starts.push(start.value(), 0, rec);
+        self.ends.push(end.value(), 0, rec);
     }
 
     /// Folds all starts, then all ends, with time ≤ `now` into the
     /// aggregates, in `(time, insertion)` order.
     fn settle(&mut self, now: Seconds) {
-        while let Some((&(bits, _), _)) = self.starts.first_key_value() {
-            if f64::from_bits(bits) > now.value() {
-                break;
-            }
-            let (_, rec) = self.starts.pop_first().expect("peeked above");
-            self.active_power += rec.power;
-            self.heat[rec.rack] += rec.heat;
-            self.count[rec.rack] += 1;
-            self.running += 1;
-            self.class_running[rec.class] += 1;
-            self.class_power[rec.class] += rec.power;
-            *self.water[rec.rack].entry(rec.water_bits).or_insert(0) += 1;
+        while let Some(rec) = self.starts.pop_due(now.value()) {
+            self.ledger.add(rec.rack, rec.heat, rec.water_bits);
+            self.tally.add(rec.class, rec.power);
         }
-        while let Some((&(bits, _), _)) = self.ends.first_key_value() {
-            if f64::from_bits(bits) > now.value() {
-                break;
-            }
-            let (_, rec) = self.ends.pop_first().expect("peeked above");
-            self.active_power -= rec.power;
-            self.heat[rec.rack] -= rec.heat;
-            self.count[rec.rack] -= 1;
-            self.running -= 1;
-            self.class_running[rec.class] -= 1;
-            self.class_power[rec.class] -= rec.power;
-            if let Some(n) = self.water[rec.rack].get_mut(&rec.water_bits) {
-                *n -= 1;
-                if *n == 0 {
-                    self.water[rec.rack].remove(&rec.water_bits);
-                }
-            }
-            if self.count[rec.rack] == 0 {
-                self.heat[rec.rack] = 0.0;
-            }
-            // Pin drained sums to exact zero (fleet-wide and per class)
-            // so float residue never leaks into later samples.
-            if self.class_running[rec.class] == 0 {
-                self.class_power[rec.class] = 0.0;
-            }
-            if self.running == 0 {
-                self.active_power = 0.0;
-            }
+        while let Some(rec) = self.ends.pop_due(now.value()) {
+            self.ledger.remove(rec.rack, rec.heat, rec.water_bits);
+            self.tally.remove(rec.class, rec.power);
         }
     }
 }
@@ -879,6 +673,8 @@ pub(crate) struct FleetState {
     /// Bumped on every chiller change; dispatch score caches key on it.
     chiller_epoch: u64,
     setpoint: Celsius,
+    /// Every set-point change, in event order (the energy timeline).
+    setpoints: Vec<(Seconds, Celsius)>,
     shedding: bool,
     shed: usize,
     violations: usize,
@@ -900,6 +696,7 @@ impl FleetState {
             chiller: config.chiller.clone(),
             chiller_epoch: 0,
             setpoint: config.chiller.ambient(),
+            setpoints: Vec::new(),
             shedding: false,
             shed: 0,
             violations: 0,
@@ -913,9 +710,17 @@ impl FleetState {
         self.pending_arrivals == 0 && self.loads.total_committed() == 0
     }
 
+    /// Moves the chiller to set-point `c` at `now`.
+    fn set_setpoint(&mut self, config: &FleetConfig, now: Seconds, c: Celsius) {
+        self.chiller = config.chiller.with_ambient(c);
+        self.chiller_epoch += 1;
+        self.setpoint = c;
+        self.setpoints.push((now, c));
+    }
+
     /// Placed but not yet started.
     fn queued(&self) -> usize {
-        self.loads.total_committed() - self.running.running
+        self.loads.total_committed() - self.running.tally.running
     }
 }
 
@@ -1118,7 +923,6 @@ fn run_impl<Q: KernelQueue + Default>(
     // the pre-kernel simulator's speed.
     let closed_loop = telemetry.is_some() || tick.is_some();
     let mut placements: Vec<Placement> = Vec::with_capacity(jobs.len());
-    let mut setpoints: Vec<(Seconds, Celsius)> = Vec::new();
     // Serving mode: per-request latency (dispatch wait + runtime, known
     // at placement time) feeds two integer-bucket sketches — the whole
     // run for reported percentiles, plus a per-tick window the
@@ -1156,12 +960,7 @@ fn run_impl<Q: KernelQueue + Default>(
                     }
                 }
             }
-            Event::SetpointChange(c) => {
-                state.chiller = config.chiller.with_ambient(c);
-                state.chiller_epoch += 1;
-                state.setpoint = c;
-                setpoints.push((now, c));
-            }
+            Event::SetpointChange(c) => state.set_setpoint(config, now, c),
             Event::ControlTick => {
                 if !state.done() {
                     state.loads.expire_until(now);
@@ -1170,7 +969,7 @@ fn run_impl<Q: KernelQueue + Default>(
                     let status = ControlStatus {
                         now,
                         committed: state.loads.total_committed(),
-                        running: state.running.running,
+                        running: state.running.tally.running,
                         queued: state.queued(),
                         shed: state.shed,
                         violations: state.violations,
@@ -1187,12 +986,7 @@ fn run_impl<Q: KernelQueue + Default>(
                     };
                     for action in control.on_tick(&status) {
                         match action {
-                            ControlAction::SetSetpoint(c) => {
-                                state.chiller = config.chiller.with_ambient(c);
-                                state.chiller_epoch += 1;
-                                state.setpoint = c;
-                                setpoints.push((now, c));
-                            }
+                            ControlAction::SetSetpoint(c) => state.set_setpoint(config, now, c),
                             ControlAction::SetShedding(on) => state.shedding = on,
                             ControlAction::SetActiveServers(n) => {
                                 let prev = state.servers.active_servers();
@@ -1361,7 +1155,7 @@ fn run_impl<Q: KernelQueue + Default>(
         state.shed,
         config,
         &fleet.class_names(),
-        &setpoints,
+        &state.setpoints,
         &activations,
     );
     if serving {
@@ -1450,118 +1244,69 @@ fn hinted_server(
     (wait.value() <= demand.class(hint.class).wait_budget.value() + 1e-9).then_some(server)
 }
 
-/// Captures one telemetry sample from the settled running layer. In
-/// serving mode `latency` carries the whole-run percentile sketch and the
-/// sample gains the active-server count and latency quantiles.
-/// Fills one contiguous rack range's telemetry columns: settled running
-/// heat, coldest running supply, and that rack's chiller electrical power
-/// (left at `0.0` for racks with no supply — the caller's sequential sum
-/// skips those, exactly like the old fused loop did).
-fn cooling_chunk(
-    running: &RunningSet,
-    chiller: &tps_cooling::Chiller,
-    lo: usize,
-    heat_out: &mut [Watts],
-    water_out: &mut [Option<Celsius>],
-    cooling_out: &mut [f64],
-) {
-    for (i, ((h, w), c)) in heat_out
-        .iter_mut()
-        .zip(water_out.iter_mut())
-        .zip(cooling_out.iter_mut())
-        .enumerate()
-    {
-        let r = lo + i;
-        let heat = running.heat[r].max(0.0);
-        let supply = running.water[r]
-            .first_key_value()
-            .map(|(&bits, _)| Celsius::new(f64::from_bits(bits)));
-        if let Some(supply) = supply {
-            *c = chiller.electrical_power(Watts::new(heat), supply).value();
+/// Each rack's chiller electrical power at its settled running heat and
+/// coldest running supply (left at `0.0` for racks with no supply — the
+/// caller's sequential sum skips those).
+fn cooling_chunk(views: &[RackView], chiller: &tps_cooling::Chiller, out: &mut [f64]) {
+    for (view, c) in views.iter().zip(out) {
+        if let Some(supply) = view.supply {
+            *c = chiller.electrical_power(view.heat, supply).value();
         }
-        *h = Watts::new(heat);
-        *w = supply;
     }
 }
 
+/// Captures one telemetry sample from the settled running layer. In
+/// serving mode `latency` carries the whole-run percentile sketch and the
+/// sample gains the active-server count and latency quantiles.
 fn sample(
     state: &FleetState,
     now: Seconds,
     config: &FleetConfig,
     latency: Option<&LatencyHistogram>,
 ) -> FleetSample {
-    let running = &state.running;
-    let idle = state
-        .servers
-        .active_servers()
-        .saturating_sub(running.running) as f64
+    let tally = &state.running.tally;
+    let views = state.running.ledger.views();
+    let idle = state.servers.active_servers().saturating_sub(tally.running) as f64
         * config.idle_server_power.value();
-    // Two-pass cooling: per-rack heat/supply/chiller power first (each
-    // rack's values are independent, so halls can fill their ranges on
-    // worker threads), then one *sequential* rack-order sum — the exact
-    // accumulation order of the unsharded kernel, so the fan-out can
-    // never perturb a bit of the trace.
-    let racks = config.racks;
-    let mut rack_heat = vec![Watts::ZERO; racks];
-    let mut rack_water: Vec<Option<Celsius>> = vec![None; racks];
-    let mut rack_cooling = vec![0.0f64; racks];
-    // The fan-out chunks raw rack ranges, not hall bounds: per-rack
-    // values are independent, so the partition owes nothing to the hall
-    // layout — a dispatcher that opts out of hall sharding keeps full
-    // telemetry parallelism.
+    // Two-pass cooling: per-rack chiller power first (each rack's value
+    // is independent, so workers can fill contiguous rack ranges — raw
+    // ranges, not hall bounds, so a dispatcher that opts out of hall
+    // sharding keeps full telemetry parallelism), then one *sequential*
+    // rack-order sum — the exact accumulation order of the unsharded
+    // kernel, so the fan-out can never perturb a bit of the trace. The
+    // thread budget is shared with sweep workers (see `thread_budget`).
+    let mut rack_cooling = vec![0.0f64; views.len()];
     let workers = config.threads.max(1);
-    if workers > 1 && racks >= HALL_FANOUT_MIN_RACKS {
-        // Split `0..racks` into `workers` contiguous ranges (the thread
-        // budget is shared with sweep workers — see `thread_budget`), one
-        // scoped worker per range, each writing disjoint rack slices.
-        let per = racks.div_ceil(workers);
-        let chiller = &state.chiller;
+    let chiller = &state.chiller;
+    if workers > 1 && views.len() >= HALL_FANOUT_MIN_RACKS {
+        let per = views.len().div_ceil(workers);
         std::thread::scope(|s| {
-            let mut heat_rest = &mut rack_heat[..];
-            let mut water_rest = &mut rack_water[..];
-            let mut cool_rest = &mut rack_cooling[..];
-            let mut lo = 0;
-            while lo < racks {
-                let hi = (lo + per).min(racks);
-                let (heat, hr) = heat_rest.split_at_mut(hi - lo);
-                let (water, wr) = water_rest.split_at_mut(hi - lo);
-                let (cool, cr) = cool_rest.split_at_mut(hi - lo);
-                heat_rest = hr;
-                water_rest = wr;
-                cool_rest = cr;
-                s.spawn(move || cooling_chunk(running, chiller, lo, heat, water, cool));
-                lo = hi;
+            for (v, c) in views.chunks(per).zip(rack_cooling.chunks_mut(per)) {
+                s.spawn(move || cooling_chunk(v, chiller, c));
             }
         });
     } else {
-        cooling_chunk(
-            running,
-            &state.chiller,
-            0,
-            &mut rack_heat,
-            &mut rack_water,
-            &mut rack_cooling,
-        );
+        cooling_chunk(views, chiller, &mut rack_cooling);
     }
     let mut cooling = 0.0;
-    for r in 0..racks {
-        if rack_water[r].is_some() {
-            cooling += rack_cooling[r];
+    for (view, c) in views.iter().zip(&rack_cooling) {
+        if view.supply.is_some() {
+            cooling += c;
         }
     }
     FleetSample {
         t: now,
         setpoint: state.setpoint,
         queued: state.queued(),
-        running: running.running,
+        running: tally.running,
         shed: state.shed,
         violations: state.violations,
-        it_power: Watts::new(running.active_power + idle),
+        it_power: Watts::new(tally.power + idle),
         cooling_power: Watts::new(cooling),
-        rack_heat,
-        rack_water,
-        class_running: running.class_running.clone(),
-        class_it_power: running.class_power.iter().map(|&p| Watts::new(p)).collect(),
+        rack_heat: views.iter().map(|v| v.heat).collect(),
+        rack_water: views.iter().map(|v| v.supply).collect(),
+        class_running: tally.class_running.clone(),
+        class_it_power: tally.class_power.iter().map(|&p| Watts::new(p)).collect(),
         serving: latency.map(|h| ServingSample {
             active_servers: state.servers.active_servers(),
             p50: h.quantile(0.5).unwrap_or(Seconds::ZERO),
@@ -1721,20 +1466,20 @@ mod tests {
         run.commit(0, 0, &state(40.0), Seconds::new(0.0), Seconds::new(10.0));
         run.commit(0, 1, &state(60.0), Seconds::new(10.0), Seconds::new(20.0));
         run.settle(Seconds::new(5.0));
-        assert_eq!(run.running, 1);
-        assert_eq!(run.active_power, 40.0);
-        assert_eq!(run.class_running, vec![1, 0]);
+        assert_eq!(run.tally.running, 1);
+        assert_eq!(run.tally.power, 40.0);
+        assert_eq!(run.tally.class_running, vec![1, 0]);
         // At t = 10 the first job's end and the second's start coincide:
         // both fold, leaving exactly the second running.
         run.settle(Seconds::new(10.0));
-        assert_eq!(run.running, 1);
-        assert_eq!(run.active_power, 60.0);
-        assert_eq!(run.class_running, vec![0, 1]);
-        assert_eq!(run.class_power, vec![0.0, 60.0]);
+        assert_eq!(run.tally.running, 1);
+        assert_eq!(run.tally.power, 60.0);
+        assert_eq!(run.tally.class_running, vec![0, 1]);
+        assert_eq!(run.tally.class_power, vec![0.0, 60.0]);
         run.settle(Seconds::new(30.0));
-        assert_eq!(run.running, 0);
-        assert_eq!(run.active_power, 0.0);
-        assert_eq!(run.heat[0], 0.0);
-        assert_eq!(run.class_power, vec![0.0, 0.0]);
+        assert_eq!(run.tally.running, 0);
+        assert_eq!(run.tally.power, 0.0);
+        assert_eq!(run.ledger.view(0).heat.value(), 0.0);
+        assert_eq!(run.tally.class_power, vec![0.0, 0.0]);
     }
 }

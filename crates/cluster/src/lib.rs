@@ -101,6 +101,7 @@ mod dispatch;
 mod engine;
 mod fleet;
 mod job;
+mod ledger;
 mod metrics;
 pub mod plan;
 mod queue;

@@ -4,6 +4,7 @@
 use crate::cache::SteadyState;
 use crate::catalog::ClassId;
 use crate::fleet::FleetConfig;
+use crate::ledger::{PowerTally, RackLedger};
 use std::collections::VecDeque;
 use tps_cooling::pue;
 use tps_units::{Celsius, Joules, Seconds, Watts};
@@ -571,13 +572,8 @@ pub(crate) fn integrate_energy(
     // window is O(racks) instead of O(placements): removals before
     // set-point changes before additions at equal times (a placement
     // covers `[start, end)`), then a fixed (rack, kind) order so float
-    // accumulation is deterministic. The heat/water/pin-to-zero rules
-    // mirror `engine::RackLoads` (see its invariant note): a change to
-    // one accumulation must land in both, or the dispatch-time and
-    // integration-time views of rack state diverge. The per-class
-    // accumulators ride along in separate sums: they never feed the
-    // fleet-wide `it`/`cooling` totals, so the homogeneous integration
-    // stays bit-identical.
+    // accumulation is deterministic. Rack state lives in the energy
+    // `RackLedger`, running power in a `PowerTally`.
     const REMOVE: u8 = 0;
     const SETPOINT: u8 = 1;
     const ACTIVATION: u8 = 2;
@@ -625,6 +621,18 @@ pub(crate) fn integrate_energy(
     }
     let first_start = others.iter().map(|e| e.time).fold(f64::INFINITY, f64::min);
     let last_end = removes.iter().map(|e| e.time).fold(0.0f64, f64::max);
+    // A timeline change: set-points carry their temperature bits in
+    // `water_bits`, activations their server count in `rack`.
+    let change = |time: Seconds, kind: u8, rack: usize, water_bits: u64, seq: usize| Event {
+        time: time.value(),
+        kind,
+        rack,
+        class: 0,
+        heat: 0.0,
+        water_bits,
+        power: 0.0,
+        seq: seq as u32,
+    };
     // The chiller in force when integration starts is the last set-point
     // at or before the first placement start; changes strictly inside
     // the timeline become events. Changes at/after the last end are
@@ -634,35 +642,16 @@ pub(crate) fn integrate_energy(
         if t.value() <= first_start {
             chiller = config.chiller.with_ambient(c);
         } else if t.value() < last_end {
-            others.push(Event {
-                time: t.value(),
-                kind: SETPOINT,
-                rack: 0,
-                class: 0,
-                heat: 0.0,
-                water_bits: c.value().to_bits(),
-                power: 0.0,
-                seq: others.len() as u32,
-            });
+            others.push(change(t, SETPOINT, 0, c.value().to_bits(), others.len()));
         }
     }
-    // The active-server count in force at integration start; changes
-    // strictly inside the timeline carry the new count in `rack`.
+    // The active-server count in force at integration start, likewise.
     let mut active = config.total_servers();
     for &(t, n) in activations {
         if t.value() <= first_start {
             active = n;
         } else if t.value() < last_end {
-            others.push(Event {
-                time: t.value(),
-                kind: ACTIVATION,
-                rack: n,
-                class: 0,
-                heat: 0.0,
-                water_bits: 0,
-                power: 0.0,
-                seq: others.len() as u32,
-            });
+            others.push(change(t, ACTIVATION, n, 0, others.len()));
         }
     }
     // Per-stream seq indices replay the flat-vector tie-break: seq only
@@ -688,41 +677,21 @@ pub(crate) fn integrate_energy(
     let mut it = 0.0;
     let mut cooling = 0.0;
     let mut peak_rack_heat = 0.0f64;
-    let mut busy = 0usize;
-    let mut active_power = 0.0;
-    // Per-rack window state packed into one struct: the window walk below
-    // reads heat, the cached chiller draw and its validity per occupied
-    // rack, and one cache line beats four scattered arrays.
-    #[derive(Clone)]
-    struct RackAcc {
-        heat: f64,
-        power: f64,
-        era: u64,
-        dirty: bool,
-    }
-    let mut acc = vec![
-        RackAcc {
-            heat: 0.0,
-            power: 0.0,
-            era: 0,
-            dirty: true,
-        };
-        config.racks
-    ];
-    // Ascending sorted `(key, count)` vectors, not `BTreeMap`s: few
-    // distinct keys per rack, and the capacity survives rack drains, so
-    // the 2M-event sweep never allocates tree nodes.
-    let mut rack_water: Vec<Vec<(u64, u32)>> = vec![Vec::new(); config.racks];
-    let mut class_busy = vec![0usize; n_classes];
-    let mut class_power = vec![0.0f64; n_classes];
+    let mut ledger = RackLedger::new(config.racks);
+    let mut tally = PowerTally::new(n_classes);
+    // Per-rack cached chiller draw and the chiller era it was priced in
+    // (`STALE` once the rack's load moves), packed side by side for the
+    // window walk below.
+    const STALE: u64 = u64::MAX;
+    let mut drawn = vec![(0.0f64, STALE); config.racks];
     let mut class_it = vec![0.0f64; n_classes];
     // Only racks with committed water contribute cooling (and drained
     // racks are pinned to exactly 0.0 heat, so they can't move the peak
     // either): the window body walks the occupied set, ascending by rack
     // so the float accumulation order matches the full 0..racks scan it
     // replaces. Each rack's chiller draw is cached and recomputed only
-    // when its load (dirty flag) or the chiller (era) moved — the same
-    // pure expression either way, so the cached value is bit-identical.
+    // when its load or the chiller (era) moved — the same pure
+    // expression either way, so the cached value is bit-identical.
     // A sorted vector, not a BTreeSet: the per-window walk dominates this
     // sweep, and a contiguous ascending scan is both faster and exactly
     // the same visit order (so the same float accumulation).
@@ -741,32 +710,13 @@ pub(crate) fn integrate_energy(
     while let Some(t) = next_time(ri, oi) {
         while ri < removes.len() && removes[ri].time == t {
             let e = &removes[ri];
-            busy -= 1;
-            active_power -= e.power;
-            acc[e.rack].heat -= e.heat;
-            class_busy[e.class] -= 1;
-            class_power[e.class] -= e.power;
-            if let Ok(at) = rack_water[e.rack].binary_search_by_key(&e.water_bits, |w| w.0) {
-                rack_water[e.rack][at].1 -= 1;
-                if rack_water[e.rack][at].1 == 0 {
-                    rack_water[e.rack].remove(at);
-                }
-            }
-            // Pin drained sums back to exact zero so float residue
-            // never leaks into later windows.
-            if rack_water[e.rack].is_empty() {
-                acc[e.rack].heat = 0.0;
+            tally.remove(e.class, e.power);
+            if ledger.remove(e.rack, e.heat, e.water_bits) {
                 if let Ok(at) = occupied.binary_search(&(e.rack as u32)) {
                     occupied.remove(at);
                 }
             }
-            acc[e.rack].dirty = true;
-            if class_busy[e.class] == 0 {
-                class_power[e.class] = 0.0;
-            }
-            if busy == 0 {
-                active_power = 0.0;
-            }
+            drawn[e.rack].1 = STALE;
             ri += 1;
         }
         while oi < others.len() && others[oi].time == t {
@@ -782,27 +732,19 @@ pub(crate) fn integrate_energy(
                     active = e.rack;
                 }
                 _ => {
-                    busy += 1;
-                    active_power += e.power;
-                    acc[e.rack].heat += e.heat;
+                    tally.add(e.class, e.power);
+                    if ledger.add(e.rack, e.heat, e.water_bits) {
+                        if let Err(at) = occupied.binary_search(&(e.rack as u32)) {
+                            occupied.insert(at, e.rack as u32);
+                        }
+                    }
                     // The running max only ever grows at additions (heat
                     // is non-negative and drains pin back to zero), so
                     // observing it here instead of once per window sees
                     // every candidate the window walk saw — same max,
                     // without the per-window pass.
-                    peak_rack_heat = peak_rack_heat.max(acc[e.rack].heat);
-                    class_busy[e.class] += 1;
-                    class_power[e.class] += e.power;
-                    if rack_water[e.rack].is_empty() {
-                        if let Err(at) = occupied.binary_search(&(e.rack as u32)) {
-                            occupied.insert(at, e.rack as u32);
-                        }
-                    }
-                    match rack_water[e.rack].binary_search_by_key(&e.water_bits, |w| w.0) {
-                        Ok(at) => rack_water[e.rack][at].1 += 1,
-                        Err(at) => rack_water[e.rack].insert(at, (e.water_bits, 1)),
-                    }
-                    acc[e.rack].dirty = true;
+                    peak_rack_heat = peak_rack_heat.max(ledger.view(e.rack).heat.value());
+                    drawn[e.rack].1 = STALE;
                 }
             }
             oi += 1;
@@ -813,29 +755,22 @@ pub(crate) fn integrate_energy(
             continue;
         }
         // Draining servers past a scale-down outnumbering `active` is
-        // fine: their package power is in `active_power` and no idle
+        // fine: their package power is in the tally and no idle
         // floor remains.
-        let idle = active.saturating_sub(busy) as f64 * config.idle_server_power.value();
-        it += (active_power + idle) * dt;
-        for (sum, power) in class_it.iter_mut().zip(&class_power) {
+        let idle = active.saturating_sub(tally.running) as f64 * config.idle_server_power.value();
+        it += (tally.power + idle) * dt;
+        for (sum, power) in class_it.iter_mut().zip(&tally.class_power) {
             *sum += power * dt;
         }
         for &r in &occupied {
-            let a = &mut acc[r as usize];
-            if a.dirty || a.era != era {
-                let &(bits, _) = rack_water[r as usize]
-                    .first()
-                    .expect("occupied racks have committed water");
-                a.power = chiller
-                    .electrical_power(
-                        Watts::new(a.heat.max(0.0)),
-                        tps_units::Celsius::new(f64::from_bits(bits)),
-                    )
-                    .value();
-                a.dirty = false;
-                a.era = era;
+            let (power, priced) = &mut drawn[r as usize];
+            if *priced != era {
+                let view = ledger.view(r as usize);
+                let supply = view.supply.expect("occupied racks have committed water");
+                *power = chiller.electrical_power(view.heat, supply).value();
+                *priced = era;
             }
-            cooling += a.power * dt;
+            cooling += *power * dt;
         }
     }
 

@@ -103,6 +103,17 @@ pub enum DemandKind {
     },
 }
 
+impl DemandKind {
+    /// The spec's `workload.rate`: the constant, peak or burst rate.
+    pub(crate) fn rate(&self) -> f64 {
+        match *self {
+            DemandKind::Constant { rate }
+            | DemandKind::Diurnal { rate, .. }
+            | DemandKind::Bursty { rate, .. } => rate,
+        }
+    }
+}
+
 /// Which fleet dispatcher places the jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatcherKind {
@@ -740,6 +751,13 @@ impl Scenario {
                 if let Some(&bad) = setpoints_c.iter().find(|c| !c.is_finite()) {
                     return Err(control_tbl
                         .value_error("setpoints_c", format!("set-point {bad} °C must be finite")));
+                }
+                let floor = Celsius::ABSOLUTE_ZERO.value();
+                if let Some(&bad) = setpoints_c.iter().find(|&&c| c < floor) {
+                    return Err(control_tbl.value_error(
+                        "setpoints_c",
+                        format!("set-point {bad} °C is below absolute zero ({floor} °C)"),
+                    ));
                 }
                 ControlKind::Setpoint {
                     times_s,

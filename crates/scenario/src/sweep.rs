@@ -27,6 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tps_cluster::{FleetTrace, OutcomeCache, SimResult};
 use tps_core::RunError;
+use tps_workload::check_time_resolution;
 
 /// Axis paths the sweep engine accepts, mirroring the scalar keys of the
 /// scenario schema (arrays such as `workload.qos_weights` cannot be swept).
@@ -396,6 +397,10 @@ fn run_grid(
     // deterministic, so do it once up front.
     let jobs: Vec<Vec<tps_cluster::Job>> =
         scenarios.iter().map(Scenario::synthesize_jobs).collect();
+    for (s, stream) in scenarios.iter().zip(&jobs) {
+        check_time_resolution(stream.iter().map(|j| j.arrival), s.demand.rate())
+            .map_err(|e| SpecError::global(format!("grid point `{}`: [workload] {e}", s.name)))?;
+    }
 
     // Group key: the resolved (pitch, inlet, policy) of every catalog
     // class, in class-id order (one entry on a homogeneous spec).

@@ -348,3 +348,29 @@ fn server_class_syntax_errors_are_line_numbered() {
     assert!(e.message.contains("grid point `fleet.classes=zzz`"), "{e}");
     assert!(e.message.contains("undeclared class `zzz`"), "{e}");
 }
+
+#[test]
+fn a_rate_that_destroys_runtime_resolution_fails_before_any_solve() {
+    // At 1e-20 jobs/s arrivals land near 1e21 s, where adjacent f64 times
+    // are ~1e5 s apart and every runtime rounds to zero length.
+    for rate in ["1e-20", "1e-17"] {
+        let sweep = Sweep::parse(&format!("[workload]\njobs = 10\nrate = {rate}\n"), "t")
+            .expect("the spec itself is well-formed");
+        let e = match sweep.run(1) {
+            Err(tps_scenario::SweepError::Spec(e)) => e,
+            other => panic!("rate {rate} should be a spec error, got {other:?}"),
+        };
+        assert!(e.message.contains(&format!("rate {rate} jobs/s")), "{e}");
+        assert!(e.message.contains("runtime resolution"), "{e}");
+    }
+}
+
+#[test]
+fn set_points_below_absolute_zero_are_rejected_with_their_line() {
+    let e = fail_scenario(
+        "[control]\npolicy = \"setpoint\"\ntimes_s = [0, 10]\nsetpoints_c = [70, -300]\n",
+    );
+    assert_eq!(e.line, Some(4));
+    assert!(e.message.contains("-300"), "{e}");
+    assert!(e.message.contains("below absolute zero"), "{e}");
+}

@@ -37,6 +37,9 @@ pub struct Celsius(f64);
 pub struct Kelvin(f64);
 
 impl Celsius {
+    /// Absolute zero, −273.15 °C: no physical temperature lies below it.
+    pub const ABSOLUTE_ZERO: Celsius = Celsius(-273.15);
+
     /// Creates a Celsius temperature.
     #[inline]
     pub const fn new(deg_c: f64) -> Self {

@@ -266,6 +266,45 @@ pub fn synthesize_arrivals<D: DemandModel>(demand: &D, count: usize, seed: u64) 
     arrival_source(demand, seed).take(count).collect()
 }
 
+/// The coarsest `f64` time step a job stream may reach, seconds. Past it,
+/// `start + runtime` rounds runtimes to the step (and past the runtime
+/// itself, to zero length).
+const TIME_RESOLUTION_S: f64 = 1e-3;
+
+/// Rejects a job stream whose latest arrival sits where adjacent `f64`
+/// times are more than 1 ms apart. `rate` is the demand rate (jobs/s)
+/// that produced the stream, named in the error.
+///
+/// ```
+/// use tps_units::Seconds;
+/// use tps_workload::check_time_resolution;
+///
+/// assert!(check_time_resolution([Seconds::new(3.6e6)], 0.7).is_ok());
+/// let e = check_time_resolution([Seconds::new(1e21)], 1e-20).unwrap_err();
+/// assert!(e.contains("1e-20"));
+/// ```
+///
+/// # Errors
+///
+/// Returns a message naming the rate, the latest arrival and its time
+/// step when the step exceeds 1 ms.
+pub fn check_time_resolution(
+    arrivals: impl IntoIterator<Item = Seconds>,
+    rate: f64,
+) -> Result<(), String> {
+    let last = arrivals.into_iter().fold(0.0f64, |m, t| m.max(t.value()));
+    let step = f64::from_bits(last.to_bits() + 1) - last;
+    // An infinite horizon has a NaN step: reject it too.
+    if !step.is_finite() || step > TIME_RESOLUTION_S {
+        return Err(format!(
+            "rate {rate:e} jobs/s puts the last arrival at {last:.3e} s, where f64 time steps \
+             are {step:.3e} s — coarser than the {TIME_RESOLUTION_S} s runtime resolution; \
+             raise the rate or lower the job count"
+        ));
+    }
+    Ok(())
+}
+
 /// The online-serving demand shape: a diurnal day/night cycle multiplied
 /// by flash-crowd surges — during a seed-determined burst window in each
 /// slot (one window per `surge_gap + surge_duration` of simulated time)

@@ -34,8 +34,8 @@ use tps::power::CState;
 use tps::scenario::Sweep;
 use tps::units::{Celsius, Seconds};
 use tps::workload::{
-    profile_application, Benchmark, BurstyDemand, ConstantDemand, DiurnalDemand, QosClass,
-    ServingDemand,
+    check_time_resolution, profile_application, Benchmark, BurstyDemand, ConstantDemand,
+    DiurnalDemand, QosClass, ServingDemand,
 };
 
 fn main() -> ExitCode {
@@ -84,6 +84,23 @@ fn print_usage() {
          tps list                  list benchmarks, policies and selectors\n",
         "", "", "", "", "", "", "", "", "", "", "", "", "", "", ""
     );
+}
+
+/// Three significant digits with an SI prefix: `850`, `12.3k`, `4.56M`.
+fn si3(x: f64) -> String {
+    let (mut v, mut prefix) = (x, 0);
+    while v >= 999.5 && prefix < 4 {
+        v /= 1e3;
+        prefix += 1;
+    }
+    let decimals = if v >= 99.95 {
+        0
+    } else if v >= 9.995 {
+        1
+    } else {
+        2
+    };
+    format!("{v:.decimals$}{}", ["", "k", "M", "G", "T"][prefix])
 }
 
 /// A `main`-style error bridge: prints `error: …` and maps to an exit code.
@@ -387,6 +404,12 @@ fn parse_setpoints(raw: &str) -> Result<Vec<(Seconds, Celsius)>, String> {
         if !(t >= 0.0 && t.is_finite() && c.is_finite()) {
             return Err(format!("--setpoints entry `{entry}` out of range"));
         }
+        let floor = Celsius::ABSOLUTE_ZERO.value();
+        if c < floor {
+            return Err(format!(
+                "--setpoints temperature {c} °C in `{entry}` is below absolute zero ({floor} °C)"
+            ));
+        }
         program.push((Seconds::new(t), Celsius::new(c)));
     }
     if program.is_empty() {
@@ -655,6 +678,9 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
         Ok(j) => j,
         Err(e) => return fail(e),
     };
+    if let Err(e) = check_time_resolution(jobs.iter().map(|j| j.arrival), a.rate) {
+        return fail(format!("--{e}"));
+    }
 
     let mut dispatchers: Vec<Box<dyn FleetDispatcher>> = Vec::new();
     match a.dispatcher.as_str() {
@@ -790,10 +816,10 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
                 );
                 if a.stats {
                     println!(
-                        "  kernel: {} events in {:.3} s ({:.2} M events/s), peak queue depth {}, arena high-water {}",
+                        "  kernel: {} events in {:.3} s ({} events/s), peak queue depth {}, arena high-water {}",
                         result.stats.events,
                         elapsed,
-                        result.stats.events as f64 / elapsed.max(1e-9) / 1e6,
+                        si3(result.stats.events as f64 / elapsed.max(1e-9)),
                         result.stats.peak_queue_depth,
                         result.stats.arena_high_water,
                     );
@@ -987,4 +1013,23 @@ fn cmd_sweep(raw: &[String]) -> ExitCode {
         println!("traces: {} files under {}", traces.len(), dir.display());
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn si3_keeps_three_significant_digits_across_prefixes() {
+        let cases = [
+            (850.0, "850"),
+            (1234.0, "1.23k"),
+            (9_996.0, "10.0k"),
+            (12_345.0, "12.3k"),
+            (999_600.0, "1.00M"),
+            (4.56e6, "4.56M"),
+            (1.234e8, "123M"),
+        ];
+        for (x, want) in cases {
+            assert_eq!(super::si3(x), want, "{x}");
+        }
+    }
 }
