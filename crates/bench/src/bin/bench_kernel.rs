@@ -1,5 +1,5 @@
 //! The kernel's scale-trajectory bench: wall time per (servers, jobs,
-//! dispatcher, shards) grid point, emitted as machine-readable
+//! dispatcher) grid point, emitted as machine-readable
 //! `BENCH_kernel.json` so CI can regenerate the file and diff it for
 //! structural drift.
 //!
@@ -13,12 +13,11 @@
 //!
 //! * `baseline` — the pinned pre-kernel trajectory (binary-heap event
 //!   queue + per-arrival full-fleet rescan, measured on the v5 seed);
-//!   constants, never re-measured. Baseline points predate sharding and
-//!   carry no `shards` key.
+//!   constants, never re-measured.
 //! * `current` — this build, measured now: `wall_ms` (minimum over
 //!   `--reps` runs, so a noisy box cannot inflate a point) plus the
 //!   kernel's queue counters (`events`, `peak_queue_depth`,
-//!   `arena_high_water`), the hall count (`shards`), the two-tier cache
+//!   `arena_high_water`), the two-tier cache
 //!   counters of the last rep (`table_hits`, `miss_solves`,
 //!   `lock_acquisitions` — the last two read 0 on every steady-state
 //!   point: the pre-published `SolveTable` absorbs all lookups lock-free)
@@ -27,10 +26,7 @@
 //!
 //! `--scale smoke` measures only the 1k-server tier (CI-sized);
 //! `--scale full` walks the whole 1k/10k/100k grid, the 100k × 1M point
-//! being the million-job headline. Every tier runs the 1/2/4/8-hall
-//! shard axis per dispatcher — the 8-hall thermal-aware point at
-//! 100k × 1M against its 1-hall twin is the sharded-dispatch headline
-//! ratio. The methodology matches `tps fleet`: racks of 8, 3 mm grid,
+//! being the million-job headline. The methodology matches `tps fleet`: racks of 8, 3 mm grid,
 //! diurnal demand at 0.7 jobs/s, seed 42, one shared physics cache
 //! warmed by an untimed round-robin pass per tier.
 
@@ -44,9 +40,6 @@ use tps_workload::DiurnalDemand;
 
 /// The pinned scale grid: (servers, jobs).
 const SCALES: &[(usize, usize)] = &[(1_000, 10_000), (10_000, 100_000), (100_000, 1_000_000)];
-
-/// The hall counts every (tier, dispatcher) cell is measured at.
-const SHARDS: &[usize] = &[1, 2, 4, 8];
 
 /// The pre-kernel trajectory, measured on the v5 seed (debug-free
 /// release build, single core). 100k × 1M was only feasible for
@@ -74,7 +67,6 @@ struct Point {
     servers: usize,
     jobs: usize,
     dispatcher: &'static str,
-    shards: usize,
     wall_ms: f64,
     events: u64,
     peak_queue_depth: usize,
@@ -114,41 +106,36 @@ fn measure(scales: &[(usize, usize)], reps: usize) -> Vec<Point> {
                 .expect("warm-up run");
         }
         for name in ["round-robin", "coolest-rack-first", "thermal-aware"] {
-            for &shards in SHARDS {
-                let mut config = base_config(racks, servers);
-                config.shards = shards;
-                let fleet = Fleet::new(config);
-                let mut wall_ms = f64::INFINITY;
-                let mut result = None;
-                for _ in 0..reps.max(1) {
-                    let mut d = dispatcher(name);
-                    let started = Instant::now();
-                    let r = fleet
-                        .simulate_with(&stream, d.as_mut(), &mut StaticControl, None, &cache)
-                        .expect("bench run");
-                    wall_ms = wall_ms.min(started.elapsed().as_secs_f64() * 1e3);
-                    result = Some(r);
-                }
-                let result = result.expect("at least one rep ran");
-                eprintln!(
-                    "{servers} servers x {jobs} jobs, {name}, {shards} halls: {wall_ms:.0} ms, {} events",
-                    result.stats.events
-                );
-                points.push(Point {
-                    servers,
-                    jobs,
-                    dispatcher: name,
-                    shards,
-                    wall_ms,
-                    events: result.stats.events,
-                    peak_queue_depth: result.stats.peak_queue_depth,
-                    arena_high_water: result.stats.arena_high_water,
-                    table_hits: result.stats.table_hits,
-                    miss_solves: result.stats.miss_solves,
-                    lock_acquisitions: result.stats.lock_acquisitions,
-                    warm_ms,
-                });
+            let fleet = Fleet::new(base_config(racks, servers));
+            let mut wall_ms = f64::INFINITY;
+            let mut result = None;
+            for _ in 0..reps.max(1) {
+                let mut d = dispatcher(name);
+                let started = Instant::now();
+                let r = fleet
+                    .simulate_with(&stream, d.as_mut(), &mut StaticControl, None, &cache)
+                    .expect("bench run");
+                wall_ms = wall_ms.min(started.elapsed().as_secs_f64() * 1e3);
+                result = Some(r);
             }
+            let result = result.expect("at least one rep ran");
+            eprintln!(
+                "{servers} servers x {jobs} jobs, {name}: {wall_ms:.0} ms, {} events",
+                result.stats.events
+            );
+            points.push(Point {
+                servers,
+                jobs,
+                dispatcher: name,
+                wall_ms,
+                events: result.stats.events,
+                peak_queue_depth: result.stats.peak_queue_depth,
+                arena_high_water: result.stats.arena_high_water,
+                table_hits: result.stats.table_hits,
+                miss_solves: result.stats.miss_solves,
+                lock_acquisitions: result.stats.lock_acquisitions,
+                warm_ms,
+            });
         }
     }
     points
@@ -172,14 +159,13 @@ fn emit(scale: &str, points: &[Point]) -> String {
         ));
     }
     out.push_str("    ]\n  },\n");
-    out.push_str("  \"current\": {\n    \"name\": \"frozen solve table + sharded halls + streamed arrivals + calendar queue + incremental ranking\",\n    \"points\": [\n");
+    out.push_str("  \"current\": {\n    \"name\": \"frozen solve table + streamed arrivals + calendar queue + incremental ranking\",\n    \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
-            "      {{\"servers\": {}, \"jobs\": {}, \"dispatcher\": \"{}\", \"shards\": {}, \"wall_ms\": {:.1}, \"events\": {}, \"peak_queue_depth\": {}, \"arena_high_water\": {}, \"table_hits\": {}, \"miss_solves\": {}, \"lock_acquisitions\": {}, \"warm_ms\": {:.1}}}{}\n",
+            "      {{\"servers\": {}, \"jobs\": {}, \"dispatcher\": \"{}\", \"wall_ms\": {:.1}, \"events\": {}, \"peak_queue_depth\": {}, \"arena_high_water\": {}, \"table_hits\": {}, \"miss_solves\": {}, \"lock_acquisitions\": {}, \"warm_ms\": {:.1}}}{}\n",
             p.servers,
             p.jobs,
             p.dispatcher,
-            p.shards,
             p.wall_ms,
             p.events,
             p.peak_queue_depth,
@@ -199,8 +185,8 @@ fn emit(scale: &str, points: &[Point]) -> String {
 /// version anywhere in the file — a document mixing `tps-kernel-bench/1`
 /// or `/2` points into a `/3` header is rejected, and a plain v2 file
 /// fails the header check), both sections, and every point carrying the
-/// required keys (`current` points must carry the v2 `shards` axis and
-/// kernel counters plus the v3 cache counters and `warm_ms`). Timings
+/// required keys (`current` points must carry the kernel counters plus
+/// the v3 cache counters and `warm_ms`). Timings
 /// are free to drift — CI fails only on shape.
 fn check(doc: &str) -> Result<(), String> {
     if !doc.contains("\"schema\": \"tps-kernel-bench/3\"") {
@@ -249,7 +235,6 @@ fn check(doc: &str) -> Result<(), String> {
             }
             if section == "current" {
                 for key in [
-                    "\"shards\":",
                     "\"events\":",
                     "\"peak_queue_depth\":",
                     "\"arena_high_water\":",
@@ -322,7 +307,7 @@ fn main() {
         other => panic!("unknown scale {other} (use smoke or full)"),
     };
     // Smoke keeps CI fast with single runs; full takes the min of three
-    // so the headline shard ratio is measured, not box noise.
+    // so the headline points are measured, not box noise.
     let reps = reps.unwrap_or(match scale.as_str() {
         "full" => 3,
         _ => 1,

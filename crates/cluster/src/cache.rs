@@ -14,10 +14,10 @@
 //! * a **frozen dense [`SolveTable`]** — a flat `Vec` indexed by a dense
 //!   `(solve slot, class, bench, qos)` key computed arithmetically (no
 //!   hashing, no tree walk, no lock), published as an immutable epoch and
-//!   shared read-only (`Arc`) across halls and sweep workers. This is the
+//!   shared read-only (`Arc`) across runs and sweep workers. This is the
 //!   steady-state hot path: once a run's keys are published, resolving
 //!   its demand states acquires **zero** locks.
-//! * a **sharded on-demand miss path** — the mutable `BTreeMap`, striped
+//! * a **striped on-demand miss path** — the mutable `BTreeMap`, striped
 //!   across [`STRIPES`] locks by key hash, that absorbs keys the table
 //!   does not cover yet (a new `inlet_milli` from a swept set-point, a
 //!   planner grid, lazily-solved pairs). Misses are folded into a *new*
@@ -156,7 +156,7 @@ const STRIPES: usize = 16;
 /// ((slot · classes + class) · |Benchmark| + bench) · |QosClass| + qos
 /// ```
 ///
-/// — no hash, no tree, no lock, shared read-only via `Arc` across halls
+/// — no hash, no tree, no lock, shared read-only via `Arc` across runs
 /// and sweep workers. Absent keys hold `None` and fall through to the
 /// striped miss path.
 ///
@@ -438,7 +438,7 @@ impl OutcomeCache {
     /// and publishes it. Call only at global synchronization points (run
     /// starts, sweep phase boundaries): readers that fetched an earlier
     /// epoch keep it — `Arc` keeps every epoch alive while referenced, so
-    /// publication can never tear a table out from under a hall.
+    /// publication can never tear a table out from under a run.
     pub fn publish(&self) -> Arc<SolveTable> {
         let mut entries: Vec<(CacheKey, SteadyState)> = Vec::new();
         for stripe in &self.stripes {

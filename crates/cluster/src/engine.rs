@@ -26,14 +26,13 @@ use crate::cache::{OutcomeCache, SolveTable, SteadyState};
 use crate::catalog::ClassId;
 use crate::control::{ControlAction, ControlPolicy, ControlStatus, PlacementHint, RunContext};
 use crate::dispatch::{
-    ClassDemand, FleetDispatcher, FleetHalls, FleetIndex, FleetView, JobDemand, RackView,
-    ServerTable,
+    ClassDemand, FleetDispatcher, FleetIndex, FleetView, JobDemand, RackView, ServerTable,
 };
 use crate::fleet::{Fleet, FleetConfig};
 use crate::job::Job;
 use crate::ledger::{PowerTally, RackLedger, TimedHeap};
 use crate::metrics::{
-    integrate_energy, FleetSample, FleetTrace, HallStats, KernelStats, LatencyHistogram, Placement,
+    integrate_energy, FleetSample, FleetTrace, KernelStats, LatencyHistogram, Placement,
     ServingOutcome, ServingSample, SimResult, TelemetryConfig,
 };
 use crate::queue::{CalendarQueue, KernelQueue, QueueStats};
@@ -53,7 +52,7 @@ pub const ARRIVAL_LOOKAHEAD: usize = 1024;
 /// Minimum fleet size (racks) before a telemetry sample fans its per-rack
 /// cooling pass out to worker threads: below this the per-sample scoped
 /// spawn costs more than the arithmetic it parallelizes.
-const HALL_FANOUT_MIN_RACKS: usize = 1024;
+const THREADED_COOLING_MIN_RACKS: usize = 1024;
 
 /// A typed simulation event.
 ///
@@ -186,6 +185,10 @@ impl EventQueue {
 /// exactly one rack, so the index updates in O(log racks) — this is what
 /// lets dispatchers skip the per-arrival full-fleet rescan. The per-rack
 /// heat/water/count rule itself lives in the committed `RackLedger`.
+///
+/// The stamps are still bumped on every mutation and exported through
+/// [`FleetIndex::stamps`](crate::FleetIndex::stamps) for external
+/// callers, but no in-tree dispatcher reads them any more.
 #[derive(Debug)]
 pub struct RackLoads {
     /// The committed per-rack views.
@@ -277,35 +280,13 @@ impl RackLoads {
     /// Panics if `group_of` has the wrong length or names a group out of
     /// range.
     pub fn with_groups(racks: usize, group_of: Vec<u32>, groups: usize) -> Self {
-        Self::with_groups_range(racks, group_of, groups, 0, racks)
-    }
-
-    /// Empty loads *owning only the contiguous rack range `[lo, hi)`* of a
-    /// fleet with `racks` racks in total — one hall of a sharded kernel.
-    /// Vectors are full-size and globally indexed (so hall views compose
-    /// into one global view by range), but only the owned range is seeded
-    /// idle: the hall tracks exactly its own racks and nothing else.
-    /// `with_groups` is the whole-fleet special case `[0, racks)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group_of` has the wrong length, names a group out of
-    /// range, or the rack range is empty or out of bounds.
-    pub fn with_groups_range(
-        racks: usize,
-        group_of: Vec<u32>,
-        groups: usize,
-        lo: usize,
-        hi: usize,
-    ) -> Self {
         assert_eq!(group_of.len(), racks, "one group id per rack");
         assert!(
             group_of.iter().all(|&g| (g as usize) < groups.max(1)),
             "rack group out of range"
         );
-        assert!(lo < hi && hi <= racks, "rack range out of bounds");
         let mut idle = vec![BTreeSet::new(); groups.max(1)];
-        for (r, &g) in group_of.iter().enumerate().take(hi).skip(lo) {
+        for (r, &g) in group_of.iter().enumerate() {
             idle[g as usize].insert(r as u32);
         }
         let idle_min = idle.iter().map(|s| s.first().copied()).collect();
@@ -447,148 +428,15 @@ impl RackLoads {
     }
 
     /// Rack → stamp of its last mutation; unchanged stamp ⇒ bit-identical
-    /// [`RackView`].
+    /// [`RackView`]. No in-tree dispatcher reads these.
     pub fn stamps(&self) -> &[u64] {
         &self.stamps
     }
 
-    /// Writes the per-rack dispatch views into `out` (cleared first).
-    ///
-    /// Takes a caller-owned scratch buffer instead of allocating; since
-    /// the views are now maintained incrementally this is a plain copy of
-    /// [`view_slice`](Self::view_slice).
-    pub fn views_into(&self, out: &mut Vec<RackView>) {
-        out.clear();
-        out.extend_from_slice(self.ledger.views());
-    }
-
     /// The per-rack dispatch views as a fresh vector (allocating
-    /// convenience over [`views_into`](Self::views_into)).
+    /// convenience over [`view_slice`](Self::view_slice)).
     pub fn views(&self) -> Vec<RackView> {
         self.ledger.views().to_vec()
-    }
-}
-
-/// The fleet's committed load partitioned into **halls**: contiguous rack
-/// ranges, each owning its racks' [`RackLoads`] (views, occupancy index,
-/// expiry events) outright. Halls share nothing, so between global
-/// decision points they can advance expiries and score candidates
-/// independently; every cross-hall reduction here folds in ascending hall
-/// order, which is what keeps a sharded run bit-identical to `shards = 1`
-/// (see `ARCHITECTURE.md`, "Sharded halls").
-///
-/// With one hall this is exactly the old single-`RackLoads` kernel — the
-/// same struct, the same mutation order, the same bits.
-#[derive(Debug)]
-pub struct HallLoads {
-    parts: Vec<RackLoads>,
-    /// Hall → `[lo, hi)` rack range (contiguous, covering all racks).
-    bounds: Vec<(usize, usize)>,
-    /// Rack → owning hall.
-    hall_of: Vec<u32>,
-    /// Per-hall placement counters (diagnostics only).
-    adds: Vec<u64>,
-    /// Per-hall expiry counters (diagnostics only).
-    expired: Vec<u64>,
-}
-
-impl HallLoads {
-    /// Partitions `racks` racks into `shards` contiguous halls of
-    /// near-equal size (the first `racks % shards` halls get one extra).
-    /// `shards` is clamped to `[1, racks]`.
-    pub fn new(racks: usize, group_of: Vec<u32>, groups: usize, shards: usize) -> Self {
-        let shards = shards.clamp(1, racks.max(1));
-        let base = racks / shards;
-        let rem = racks % shards;
-        let mut bounds = Vec::with_capacity(shards);
-        let mut lo = 0;
-        for h in 0..shards {
-            let hi = lo + base + usize::from(h < rem);
-            bounds.push((lo, hi));
-            lo = hi;
-        }
-        let hall_of = (0..racks as u32)
-            .map(|r| {
-                bounds
-                    .iter()
-                    .position(|&(lo, hi)| (r as usize) >= lo && (r as usize) < hi)
-                    .expect("every rack is in exactly one hall") as u32
-            })
-            .collect();
-        let parts = bounds
-            .iter()
-            .map(|&(lo, hi)| RackLoads::with_groups_range(racks, group_of.clone(), groups, lo, hi))
-            .collect();
-        Self {
-            parts,
-            bounds,
-            hall_of,
-            adds: vec![0; shards],
-            expired: vec![0; shards],
-        }
-    }
-
-    /// Number of halls.
-    pub fn shards(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// The halls' `RackLoads`, ascending by rack range.
-    pub fn parts(&self) -> &[RackLoads] {
-        &self.parts
-    }
-
-    /// Hall → `[lo, hi)` owned rack range.
-    pub fn bounds(&self) -> &[(usize, usize)] {
-        &self.bounds
-    }
-
-    /// Rack → owning hall.
-    pub fn hall_of(&self) -> &[u32] {
-        &self.hall_of
-    }
-
-    /// Per-hall `(placements, expiries)` counters.
-    pub fn counters(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.adds.iter().copied().zip(self.expired.iter().copied())
-    }
-
-    /// The single hall when the fleet is unsharded — the kernel then runs
-    /// the exact pre-hall code path (global index, global views slice).
-    pub fn single(&self) -> Option<&RackLoads> {
-        (self.parts.len() == 1).then(|| &self.parts[0])
-    }
-
-    /// Committed placements across all halls.
-    pub fn total_committed(&self) -> usize {
-        self.parts.iter().map(RackLoads::total_committed).sum()
-    }
-
-    /// Commits `state`'s load to `rack`'s hall until `end`.
-    pub fn add(&mut self, rack: usize, state: &SteadyState, end: Seconds) {
-        let h = self.hall_of[rack] as usize;
-        self.parts[h].add(rack, state, end);
-        self.adds[h] += 1;
-    }
-
-    /// Expires every placement with `end ≤ now`, hall by hall in
-    /// ascending order. Halls are disjoint — each expiry touches only its
-    /// own rack's floats, and the per-rack `(end, insertion)` fold order
-    /// inside a hall matches the global kernel's, so the cross-hall
-    /// processing order cannot change any bit of state.
-    pub fn expire_until(&mut self, now: Seconds) {
-        for (part, expired) in self.parts.iter_mut().zip(&mut self.expired) {
-            *expired += part.expire_until(now) as u64;
-        }
-    }
-
-    /// Writes the global per-rack dispatch views into `out` (cleared
-    /// first) by concatenating each hall's owned range in rack order.
-    pub fn views_into(&self, out: &mut Vec<RackView>) {
-        out.clear();
-        for (part, &(lo, hi)) in self.parts.iter().zip(&self.bounds) {
-            out.extend_from_slice(&part.view_slice()[lo..hi]);
-        }
     }
 }
 
@@ -666,7 +514,7 @@ impl RunningSet {
 /// and the control surface (current chiller, shedding flag).
 #[derive(Debug)]
 pub(crate) struct FleetState {
-    loads: HallLoads,
+    loads: RackLoads,
     running: RunningSet,
     servers: ServerTable,
     chiller: tps_cooling::Chiller,
@@ -687,7 +535,7 @@ impl FleetState {
         classes: usize,
         pending_arrivals: usize,
         servers: ServerTable,
-        loads: HallLoads,
+        loads: RackLoads,
     ) -> Self {
         Self {
             loads,
@@ -797,22 +645,7 @@ fn run_impl<Q: KernelQueue + Default>(
             }
         })
         .collect();
-    // The hall partition: `shards = 1` is the old single-`RackLoads`
-    // kernel verbatim; more shards split the racks into contiguous halls
-    // whose candidate reductions and expiry streams merge back
-    // deterministically (bit-identical outcomes either way — the
-    // determinism matrix pins it). Dispatchers whose candidate fold
-    // gains nothing from the partition (round-robin's counter, the
-    // planner's hint replay, coolest-rack-first's group-min scan) opt
-    // out and keep the cheaper single-hall indexed path — telemetry
-    // sampling fans out over raw rack ranges either way, so no
-    // parallelism is lost.
-    let shards = if dispatcher.wants_hall_fanout() {
-        config.shards.max(1)
-    } else {
-        1
-    };
-    let loads = HallLoads::new(config.racks, group_of, group_classes.len(), shards);
+    let loads = RackLoads::with_groups(config.racks, group_of, group_classes.len());
 
     // The per-(benchmark, QoS) demand states, solved once up front — a
     // million arrivals share a handful of distinct demand signatures, so
@@ -940,10 +773,8 @@ fn run_impl<Q: KernelQueue + Default>(
         trace
     });
     let mut final_sampled = false;
-    // Scratch for the control-tick rack views and per-class demands (hot
-    // path: one buffer for the whole run instead of one allocation per
-    // event).
-    let mut rack_scratch: Vec<RackView> = Vec::with_capacity(config.racks);
+    // Scratch for the per-class demands (hot path: one buffer for the
+    // whole run instead of one allocation per arrival).
     let mut class_scratch: Vec<ClassDemand> = Vec::with_capacity(solvers.len());
 
     while let Some((now, event)) = queue.pop() {
@@ -965,7 +796,6 @@ fn run_impl<Q: KernelQueue + Default>(
                 if !state.done() {
                     state.loads.expire_until(now);
                     state.running.settle(now);
-                    state.loads.views_into(&mut rack_scratch);
                     let status = ControlStatus {
                         now,
                         committed: state.loads.total_committed(),
@@ -975,7 +805,7 @@ fn run_impl<Q: KernelQueue + Default>(
                         violations: state.violations,
                         setpoint: state.setpoint,
                         shedding: state.shedding,
-                        racks: &rack_scratch,
+                        racks: state.loads.view_slice(),
                         active_servers: state.servers.active_servers(),
                         total_servers: n_servers,
                         recent_p99: if serving {
@@ -1066,30 +896,21 @@ fn run_impl<Q: KernelQueue + Default>(
                     classes: &class_scratch,
                     sig: pair,
                 };
-                // Unsharded: the exact pre-hall view (global slice +
-                // incremental index). Sharded: the per-hall view, where
-                // each dispatcher reduces one candidate per hall on the
-                // same total tie-break key the global walk sorts by.
-                let single = state.loads.single();
+                let loads = &state.loads;
                 let view = FleetView {
                     now,
-                    racks: single.map_or(&[][..], |l| l.view_slice()),
+                    racks: loads.view_slice(),
                     servers: &state.servers,
                     chiller: &state.chiller,
                     chiller_epoch: state.chiller_epoch,
-                    index: single.map(|l| FleetIndex {
-                        occupied: l.occupied_racks(),
-                        idle_min: l.idle_group_mins(),
-                        group_of: l.rack_groups(),
+                    index: Some(FleetIndex {
+                        occupied: loads.occupied_racks(),
+                        idle_min: loads.idle_group_mins(),
+                        group_of: loads.rack_groups(),
                         group_classes: &group_classes,
-                        stamps: l.stamps(),
+                        stamps: loads.stamps(),
                     }),
-                    halls: single.is_none().then(|| FleetHalls {
-                        parts: state.loads.parts(),
-                        bounds: state.loads.bounds(),
-                        hall_of: state.loads.hall_of(),
-                        group_classes: &group_classes,
-                    }),
+                    halls: None,
                 };
                 // A planning control policy may have a placement hint for
                 // this job; the kernel validates it against the live
@@ -1191,22 +1012,6 @@ fn run_impl<Q: KernelQueue + Default>(
             max_active_servers: max_a,
         });
     }
-    let halls = state
-        .loads
-        .bounds()
-        .iter()
-        .zip(state.loads.counters())
-        .enumerate()
-        .map(
-            |(hall, (&(rack_lo, rack_hi), (placements, expiries)))| HallStats {
-                hall,
-                rack_lo,
-                rack_hi,
-                placements,
-                expiries,
-            },
-        )
-        .collect();
     Ok(SimResult {
         outcome,
         trace,
@@ -1219,7 +1024,6 @@ fn run_impl<Q: KernelQueue + Default>(
             // Cache locks observed over this run. A steady-state replay
             // on a covering table reads 0 — the zero-lock smoke pins it.
             lock_acquisitions: cache.lock_acquisitions() - locks_at_entry,
-            halls,
         },
     })
 }
@@ -1269,16 +1073,15 @@ fn sample(
     let idle = state.servers.active_servers().saturating_sub(tally.running) as f64
         * config.idle_server_power.value();
     // Two-pass cooling: per-rack chiller power first (each rack's value
-    // is independent, so workers can fill contiguous rack ranges — raw
-    // ranges, not hall bounds, so a dispatcher that opts out of hall
-    // sharding keeps full telemetry parallelism), then one *sequential*
-    // rack-order sum — the exact accumulation order of the unsharded
-    // kernel, so the fan-out can never perturb a bit of the trace. The
-    // thread budget is shared with sweep workers (see `thread_budget`).
+    // is independent, so workers fill contiguous rack ranges), then one
+    // *sequential* rack-order sum — the same accumulation order at any
+    // thread count, so the fan-out can never perturb a bit of the trace.
+    // The thread budget is shared with sweep workers (see
+    // `thread_budget`).
     let mut rack_cooling = vec![0.0f64; views.len()];
     let workers = config.threads.max(1);
     let chiller = &state.chiller;
-    if workers > 1 && views.len() >= HALL_FANOUT_MIN_RACKS {
+    if workers > 1 && views.len() >= THREADED_COOLING_MIN_RACKS {
         let per = views.len().div_ceil(workers);
         std::thread::scope(|s| {
             for (v, c) in views.chunks(per).zip(rack_cooling.chunks_mut(per)) {

@@ -100,20 +100,13 @@ pub struct FleetConfig {
     pub idle_server_power: Watts,
     /// Fleet-wide default mapping policy. Classes may override it.
     pub policy: PolicyId,
-    /// OS threads for the cache warm-up phase and for hall-level
-    /// parallelism inside a sharded run (telemetry fan-out). Thread count
-    /// never changes simulation results, only wall time; callers nesting
-    /// simulations inside their own worker pool should derive this via
-    /// [`thread_budget`] so the two levels never oversubscribe.
+    /// OS threads for the cache warm-up phase and for the per-rack
+    /// cooling pass of each telemetry sample (fanned out only on fleets
+    /// of 1024 racks or more). Thread count never changes simulation
+    /// results, only wall time; callers nesting simulations inside their
+    /// own worker pool should derive this via [`thread_budget`] so the
+    /// two levels never oversubscribe.
     pub threads: usize,
-    /// Number of **halls** the kernel partitions the racks into:
-    /// contiguous rack ranges that own their committed load, occupancy
-    /// index and expiry events outright, and whose per-hall dispatch
-    /// candidates merge through a deterministic reduction. Any value
-    /// produces bit-identical outcomes and traces (`1`, the default, is
-    /// the classic single-index kernel); values above the rack count are
-    /// clamped. See `ARCHITECTURE.md`, "Sharded halls".
-    pub shards: usize,
     /// The server catalog: which hardware class sits in each rack slot.
     /// The default [`FleetCatalog::uniform`] is one fully inheriting
     /// class everywhere — the homogeneous fleet, bit for bit.
@@ -156,7 +149,6 @@ impl FleetConfig {
             idle_server_power: idle,
             policy: PolicyId::default(),
             threads: Self::default_threads(),
-            shards: 1,
             catalog: FleetCatalog::uniform(),
             serving: false,
             solve_table: true,
@@ -180,7 +172,7 @@ impl FleetConfig {
 /// each worker may use internally so the two levels of parallelism never
 /// oversubscribe the machine. The scenario sweep hands each grid worker
 /// `thread_budget(threads, workers)` for its per-point simulations
-/// (warm-up and hall fan-out); a single foreground run is the `outer = 1`
+/// (warm-up and telemetry fan-out); a single foreground run is the `outer = 1`
 /// case and keeps the whole budget. Never returns zero.
 pub fn thread_budget(total: usize, outer: usize) -> usize {
     (total / outer.max(1)).max(1)

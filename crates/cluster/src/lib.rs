@@ -113,14 +113,14 @@ pub use control::{
     PlacementHint, RunContext, SetpointScheduler, StaticControl,
 };
 pub use dispatch::{
-    ClassDemand, CoolestRackFirst, FleetDispatcher, FleetHalls, FleetIndex, FleetView, JobDemand,
+    ClassDemand, CoolestRackFirst, FleetDispatcher, FleetIndex, FleetView, JobDemand,
     PlannedDispatch, RackView, RoundRobin, ServerTable, ThermalAwareDispatch,
 };
-pub use engine::{Event, EventQueue, HallLoads, OccupiedRack, RackLoads, ARRIVAL_LOOKAHEAD};
+pub use engine::{Event, EventQueue, OccupiedRack, RackLoads, ARRIVAL_LOOKAHEAD};
 pub use fleet::{thread_budget, Fleet, FleetConfig, PolicyId, ServerPolicy};
 pub use job::{synthesize_jobs, synthesize_request_jobs, Job, JobMix};
 pub use metrics::{
-    FleetOutcome, FleetSample, FleetTrace, HallStats, KernelStats, LatencyHistogram, Placement,
+    FleetOutcome, FleetSample, FleetTrace, KernelStats, LatencyHistogram, Placement,
     ServingOutcome, ServingSample, SimResult, TelemetryConfig,
 };
 pub use plan::{PlanSolver, PlannerControl};

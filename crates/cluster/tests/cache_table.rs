@@ -1,7 +1,7 @@
 //! The two-tier cache's contract, end to end: the frozen dense
 //! [`SolveTable`] must replay the striped-map oracle bit for bit under
 //! any solve/publish interleaving, the kernel must produce byte-identical
-//! outcomes and traces on either tier at any shard count, and a
+//! outcomes and traces on either tier, and a
 //! steady-state replay on a covering table must acquire **zero** cache
 //! locks.
 
@@ -132,10 +132,9 @@ proptest! {
     }
 }
 
-fn fleet(shards: usize, solve_table: bool) -> Fleet {
+fn fleet(solve_table: bool) -> Fleet {
     let mut config = FleetConfig::new(8, 4);
     config.grid_pitch_mm = 3.0;
-    config.shards = shards;
     config.solve_table = solve_table;
     Fleet::new(config)
 }
@@ -165,29 +164,27 @@ fn run(fleet: &Fleet, dispatcher: &mut dyn FleetDispatcher) -> (tps_cluster::Fle
 }
 
 /// The determinism matrix: dense-table path vs striped-map oracle path,
-/// at 1 and 8 shards, under all three dispatchers — every combination
-/// must agree on outcome *and* trace CSV, byte for byte.
+/// under all three dispatchers — every combination must agree on outcome
+/// *and* trace CSV, byte for byte.
 #[test]
-fn table_and_oracle_paths_agree_across_shards_and_dispatchers() {
+fn table_and_oracle_paths_agree_across_dispatchers() {
     let mk: [(&str, fn() -> Box<dyn FleetDispatcher>); 3] = [
         ("round-robin", || Box::<RoundRobin>::default()),
         ("coolest-rack-first", || Box::new(CoolestRackFirst)),
         ("thermal-aware", || Box::<ThermalAwareDispatch>::default()),
     ];
     for (name, dispatcher) in mk {
-        let (base_out, base_csv) = run(&fleet(1, true), dispatcher().as_mut());
-        for shards in [1usize, 8] {
-            for solve_table in [true, false] {
-                let (out, csv) = run(&fleet(shards, solve_table), dispatcher().as_mut());
-                assert_eq!(
-                    out, base_out,
-                    "{name}: outcome diverged at shards={shards} solve_table={solve_table}"
-                );
-                assert_eq!(
-                    csv, base_csv,
-                    "{name}: trace diverged at shards={shards} solve_table={solve_table}"
-                );
-            }
+        let (base_out, base_csv) = run(&fleet(true), dispatcher().as_mut());
+        for solve_table in [true, false] {
+            let (out, csv) = run(&fleet(solve_table), dispatcher().as_mut());
+            assert_eq!(
+                out, base_out,
+                "{name}: outcome diverged at solve_table={solve_table}"
+            );
+            assert_eq!(
+                csv, base_csv,
+                "{name}: trace diverged at solve_table={solve_table}"
+            );
         }
     }
 }
@@ -197,7 +194,7 @@ fn table_and_oracle_paths_agree_across_shards_and_dispatchers() {
 /// miss solves, all table hits, identical outcome.
 #[test]
 fn steady_state_replay_acquires_zero_cache_locks() {
-    let fleet = fleet(1, true);
+    let fleet = fleet(true);
     let cache = OutcomeCache::new();
     let jobs = jobs();
     let mut dispatcher = ThermalAwareDispatch::default();
@@ -216,50 +213,5 @@ fn steady_state_replay_acquires_zero_cache_locks() {
     assert_eq!(
         second.stats.lock_acquisitions, 0,
         "steady-state replay must touch no stripe or publication lock"
-    );
-}
-
-/// Dispatchers that gain nothing from hall fan-out (their placement scan
-/// is not per-rack work the halls can split) must be clamped to one hall
-/// no matter what `shards` asks for; the thermal-aware scan still fans
-/// out.
-#[test]
-fn shards_collapse_to_one_hall_for_non_fanout_dispatchers() {
-    let jobs = jobs();
-    let mk: [(&str, fn() -> Box<dyn FleetDispatcher>); 2] = [
-        ("round-robin", || Box::<RoundRobin>::default()),
-        ("coolest-rack-first", || Box::new(CoolestRackFirst)),
-    ];
-    for (name, dispatcher) in mk {
-        let cache = OutcomeCache::new();
-        let result = fleet(8, true)
-            .simulate_with(
-                &jobs,
-                dispatcher().as_mut(),
-                &mut StaticControl,
-                None,
-                &cache,
-            )
-            .unwrap();
-        assert_eq!(
-            result.stats.halls.len(),
-            1,
-            "{name} wants no fan-out: 8 requested shards must clamp to one hall"
-        );
-    }
-    let cache = OutcomeCache::new();
-    let result = fleet(8, true)
-        .simulate_with(
-            &jobs,
-            &mut ThermalAwareDispatch::default(),
-            &mut StaticControl,
-            None,
-            &cache,
-        )
-        .unwrap();
-    assert_eq!(
-        result.stats.halls.len(),
-        8,
-        "thermal-aware keeps its fan-out"
     );
 }

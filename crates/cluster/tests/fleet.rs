@@ -252,74 +252,6 @@ fn setpoint_scheduler_cuts_cooling_on_the_heat_reuse_scenario() {
 }
 
 #[test]
-fn sharded_runs_match_the_sequential_kernel_byte_for_byte() {
-    // The tentpole guarantee, pinned as a matrix: shard counts (including
-    // a count that does not divide the racks and one above the rack
-    // count, which clamps) × both queue disciplines × every dispatcher,
-    // in a closed loop with telemetry and a set-point program so all
-    // event classes cross the hall boundaries. Every cell must reproduce
-    // the unsharded calendar run's outcome and trace CSV byte for byte —
-    // sharding is pure wall-clock, never physics.
-    let jobs = diurnal_jobs(80, 11);
-    for disp in 0..3usize {
-        let run = |shards: usize, heap: bool| {
-            let mut config = FleetConfig::new(6, 3);
-            config.grid_pitch_mm = 3.0;
-            config.shards = shards;
-            let fleet = Fleet::new(config);
-            let cache = OutcomeCache::new();
-            let telemetry = TelemetryConfig {
-                sample_interval: Seconds::new(15.0),
-                capacity: 4096,
-            };
-            let mut control =
-                SetpointScheduler::new(vec![(Seconds::new(40.0), Celsius::new(45.0))]);
-            let mut dispatcher: Box<dyn tps_cluster::FleetDispatcher> = match disp {
-                0 => Box::new(RoundRobin::default()),
-                1 => Box::new(CoolestRackFirst),
-                _ => Box::new(ThermalAwareDispatch::default()),
-            };
-            let result = if heap {
-                fleet.simulate_with_heap_queue(
-                    &jobs,
-                    dispatcher.as_mut(),
-                    &mut control,
-                    Some(&telemetry),
-                    &cache,
-                )
-            } else {
-                fleet.simulate_with(
-                    &jobs,
-                    dispatcher.as_mut(),
-                    &mut control,
-                    Some(&telemetry),
-                    &cache,
-                )
-            }
-            .unwrap();
-            (
-                format!("{:?}", result.outcome),
-                result.trace.expect("telemetry was on").to_csv(),
-            )
-        };
-        let (ref_outcome, ref_csv) = run(1, false);
-        for shards in [2usize, 3, 8] {
-            for heap in [false, true] {
-                let (outcome, csv) = run(shards, heap);
-                assert_eq!(
-                    outcome, ref_outcome,
-                    "outcome diverged: dispatcher {disp}, {shards} shards, heap={heap}"
-                );
-                assert_eq!(
-                    csv, ref_csv,
-                    "trace diverged: dispatcher {disp}, {shards} shards, heap={heap}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn calendar_queue_matches_the_heap_oracle_end_to_end() {
     // Same jobs, same fleet, both queue disciplines, every dispatcher, in
     // a closed loop (telemetry plus a set-point program) so all five

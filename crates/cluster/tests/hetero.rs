@@ -131,10 +131,18 @@ fn hundred_thousand_server_shape_stays_deterministic_across_threads() {
     // The kernel's scale structures (SoA server table, occupancy index,
     // calendar queue, group-representative dispatch) at the 100k-server
     // shape the bench trajectory pins, smoke-sized job stream: outcomes
-    // must stay byte-identical across warm-up thread counts. `Debug`
-    // prints floats at round-trip precision, so equal strings pin bits.
+    // and telemetry traces must stay byte-identical across thread counts.
+    // At 2500 racks each sample fans its per-rack cooling pass out to
+    // the worker threads, so the trace pins that threaded pass too.
+    // `Debug` prints floats at round-trip precision, so equal strings
+    // pin bits.
     let jobs = diurnal_jobs(150, 23);
+    let telemetry = TelemetryConfig {
+        sample_interval: Seconds::new(60.0),
+        capacity: 4096,
+    };
     let mut outcomes = Vec::new();
+    let mut traces = Vec::new();
     for threads in [1, 2, 8] {
         let mut config = FleetConfig::new(2500, 40);
         config.grid_pitch_mm = 3.0;
@@ -154,12 +162,23 @@ fn hundred_thousand_server_shape_stays_deterministic_across_threads() {
         );
         let fleet = Fleet::new(config);
         let cache = OutcomeCache::new();
-        let outcome = fleet
-            .simulate(&jobs, &mut ThermalAwareDispatch::default(), &cache)
+        let result = fleet
+            .simulate_with(
+                &jobs,
+                &mut ThermalAwareDispatch::default(),
+                &mut StaticControl,
+                Some(&telemetry),
+                &cache,
+            )
             .unwrap();
-        assert_eq!(outcome.placements.len(), jobs.len());
-        outcomes.push(format!("{outcome:?}"));
+        assert_eq!(result.outcome.placements.len(), jobs.len());
+        outcomes.push(format!("{:?}", result.outcome));
+        let trace = result.trace.expect("telemetry was on");
+        assert!(trace.len() > 1, "the run must record several samples");
+        traces.push(trace.to_csv());
     }
     assert_eq!(outcomes[0], outcomes[1], "1 vs 2 threads");
     assert_eq!(outcomes[0], outcomes[2], "1 vs 8 threads");
+    assert_eq!(traces[0], traces[1], "trace: 1 vs 2 threads");
+    assert_eq!(traces[0], traces[2], "trace: 1 vs 8 threads");
 }

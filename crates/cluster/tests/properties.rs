@@ -220,11 +220,11 @@ proptest! {
 }
 
 proptest! {
-    /// Drive the kernel's dispatch index (occupied set, idle groups,
-    /// stamps, score memo) and the legacy full-fleet rescore through the
-    /// same random interleaving of placements, expiries and set-point
-    /// changes: every placement decision must be bit-identical. The
-    /// incremental dispatcher keeps its memo warm across the whole
+    /// Drive the kernel's dispatch index (occupied set, idle groups) and
+    /// the legacy full-fleet rescore through the same random interleaving
+    /// of placements, expiries and set-point changes: every placement
+    /// decision must be bit-identical. The incremental dispatcher keeps
+    /// its signature slabs and COP cache warm across the whole
     /// interleaving while the rescore dispatcher starts cold each call —
     /// any stale cache entry or index drift shows up as a diverged pick.
     #[test]
@@ -256,7 +256,7 @@ proptest! {
             service: Seconds::new(30.0),
         };
         // A demand signature names a fixed pair of steady states (the
-        // memo caches per-signature scores); only the job-specific
+        // dispatcher caches per-signature slabs); only the job-specific
         // runtime and wait budget vary per arrival.
         let sig_states: Vec<[SteadyState; 2]> = (0..3u64)
             .map(|s| {
@@ -292,7 +292,6 @@ proptest! {
                         .collect();
                     let demand = JobDemand { job: &job, classes: &classes, sig: sig as u32 };
                     let indexed = FleetView {
-            halls: None,
                         now: Seconds::new(now),
                         racks: loads.view_slice(),
                         servers: &servers,
@@ -305,6 +304,7 @@ proptest! {
                             group_classes: &group_classes,
                             stamps: loads.stamps(),
                         }),
+                        halls: None,
                     };
                     let scan = FleetView { index: None, ..indexed };
                     let chosen = warm.place(&demand, &indexed);
@@ -328,153 +328,6 @@ proptest! {
                     loads.add(rack, &cd.state, Seconds::new(end));
                     servers.set_free_at(chosen, Seconds::new(end));
                 }
-            }
-        }
-    }
-}
-
-proptest! {
-    /// Drive a sharded hall partition and the sequential single-
-    /// `RackLoads` kernel through the same random interleaving of
-    /// placements, expiries and set-point changes: the hall-candidate
-    /// reduction must pick the exact server the global `place_scan`
-    /// oracle picks at every arrival, and the hall views composed back
-    /// into rack order must equal the global views bit for bit. The
-    /// sharded dispatcher keeps its memo and COP caches warm across the
-    /// whole interleaving while the oracle starts cold each call, so any
-    /// stale hall cache or drifted reduction key shows up as a diverged
-    /// pick.
-    #[test]
-    fn hall_reduction_matches_the_global_scan_oracle(
-        seed in 0u64..200,
-        ops in 1usize..80,
-        shards in 1usize..5,
-    ) {
-        use tps_cluster::{
-            ClassDemand, CoolestRackFirst, FleetDispatcher, FleetHalls, FleetView, HallLoads,
-            Job, JobDemand, ServerTable, ThermalAwareDispatch,
-        };
-        use tps_cooling::Chiller;
-        use tps_workload::{Benchmark, QosClass};
-
-        // Same fleet shape as the indexed test: racks {0,1} host class 0
-        // only, racks {2,3} host classes {0,1} — two rack groups, 2
-        // servers per rack. `shards` ranges over every partition of the 4
-        // racks, including uneven ones.
-        let group_classes = vec![vec![0usize], vec![0, 1]];
-        let mut servers = ServerTable::new(vec![0, 0, 0, 0, 0, 1, 0, 1], 2);
-        let mut halls = HallLoads::new(4, vec![0, 0, 1, 1], 2, shards);
-        let mut global = RackLoads::with_groups(4, vec![0, 0, 1, 1], 2);
-        let mut chiller = Chiller::new(Celsius::new(60.0));
-        let mut chiller_epoch = 0u64;
-        let mut warm = ThermalAwareDispatch::default();
-        warm.begin_run();
-        let job = Job {
-            id: 0,
-            bench: Benchmark::X264,
-            qos: QosClass::TwoX,
-            arrival: Seconds::ZERO,
-            service: Seconds::new(30.0),
-        };
-        let sig_states: Vec<[SteadyState; 2]> = (0..3u64)
-            .map(|s| {
-                let heat = 60.0 + 40.0 * s as f64;
-                let water = 50.0 + 9.0 * s as f64;
-                [state(heat, water), state(heat * 0.9, water + 6.0)]
-            })
-            .collect();
-        let mut now = 0.0f64;
-        for i in 0..ops as u64 {
-            let r = mix(seed, i);
-            match r % 8 {
-                0 => {
-                    now += unit(seed, 3 * i) * 40.0;
-                    halls.expire_until(Seconds::new(now));
-                    global.expire_until(Seconds::new(now));
-                }
-                1 => {
-                    chiller = chiller
-                        .with_ambient(Celsius::new(40.0 + unit(seed, 3 * i) * 25.0));
-                    chiller_epoch += 1;
-                }
-                _ => {
-                    let sig = ((r >> 8) % 3) as usize;
-                    let runtime = 10.0 + unit(seed, 3 * i + 1) * 50.0;
-                    let budget = unit(seed, 3 * i + 2) * 30.0;
-                    let classes: Vec<ClassDemand> = sig_states[sig]
-                        .iter()
-                        .map(|s| ClassDemand {
-                            state: *s,
-                            runtime: Seconds::new(runtime),
-                            wait_budget: Seconds::new(budget),
-                        })
-                        .collect();
-                    let demand = JobDemand { job: &job, classes: &classes, sig: sig as u32 };
-                    let hall_view = FleetView {
-                        now: Seconds::new(now),
-                        racks: &[],
-                        servers: &servers,
-                        chiller: &chiller,
-                        chiller_epoch,
-                        index: None,
-                        halls: Some(FleetHalls {
-                            parts: halls.parts(),
-                            bounds: halls.bounds(),
-                            hall_of: halls.hall_of(),
-                            group_classes: &group_classes,
-                        }),
-                    };
-                    let scan_view = FleetView {
-                        now: Seconds::new(now),
-                        racks: global.view_slice(),
-                        servers: &servers,
-                        chiller: &chiller,
-                        chiller_epoch,
-                        index: None,
-                        halls: None,
-                    };
-                    let chosen = warm.place(&demand, &hall_view);
-                    prop_assert_eq!(
-                        chosen,
-                        ThermalAwareDispatch::default().place(&demand, &scan_view),
-                        "thermal hall pick diverged at op {} (sig {}, {} shards)",
-                        i, sig, shards
-                    );
-                    prop_assert_eq!(
-                        CoolestRackFirst.place(&demand, &hall_view),
-                        CoolestRackFirst.place(&demand, &scan_view),
-                        "coolest hall pick diverged at op {} ({} shards)", i, shards
-                    );
-                    // Commit the (verified) pick to both kernels, exactly
-                    // as the event loop would.
-                    let class = servers.class_of(chosen);
-                    let cd = classes[class];
-                    let start = now.max(servers.free_at(chosen).value());
-                    let end = start + cd.runtime.value();
-                    let rack = servers.rack_of(chosen);
-                    halls.add(rack, &cd.state, Seconds::new(end));
-                    global.add(rack, &cd.state, Seconds::new(end));
-                    servers.set_free_at(chosen, Seconds::new(end));
-                }
-            }
-
-            // The halls composed in rack order are the global kernel's
-            // state, bit for bit, after every step.
-            prop_assert_eq!(halls.total_committed(), global.total_committed());
-            let mut composed = Vec::new();
-            halls.views_into(&mut composed);
-            for (rk, (h, g)) in composed.iter().zip(global.view_slice()).enumerate() {
-                prop_assert_eq!(
-                    h.heat.value().to_bits(),
-                    g.heat.value().to_bits(),
-                    "rack {} heat diverged at op {}", rk, i
-                );
-                prop_assert_eq!(h.committed, g.committed, "rack {} occupancy", rk);
-                prop_assert_eq!(
-                    h.supply.map(|c| c.value().to_bits()),
-                    g.supply.map(|c| c.value().to_bits()),
-                    "rack {} supply diverged at op {}", rk, i
-                );
             }
         }
     }

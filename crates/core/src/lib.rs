@@ -56,7 +56,7 @@ pub use mapping::{
 };
 pub use rack::{plan_rack, rack_cooling_loads};
 pub use select::{ConfigSelector, MinPowerSelector, PackAndCapSelector};
-pub use server::{RunError, RunOutcome, Server, ServerBuilder};
+pub use server::{check_grid_pitch, RunError, RunOutcome, Server, ServerBuilder};
 
 /// The paper's case-temperature constraint `T_CASE_MAX` (Sec. VI-B).
 pub const T_CASE_MAX: tps_units::Celsius = tps_units::Celsius::new(85.0);

@@ -22,6 +22,36 @@ pub struct Server {
     sim: CoupledSimulation,
 }
 
+/// The most thermal-grid cells per layer a server model may allocate:
+/// 2^18, which a 0.0664 mm pitch just fits over the 36 × 32 mm package
+/// (the 0.5 mm paper default needs 4,608).
+const MAX_GRID_CELLS: f64 = (1u32 << 18) as f64;
+
+/// Checks that a `pitch_mm` thermal grid over the server package fits the
+/// cell budget, before anything is allocated. Callers check positivity
+/// themselves; a NaN pitch is rejected here.
+///
+/// # Errors
+///
+/// Names the pitch and the cell count it would need.
+pub fn check_grid_pitch(pitch_mm: f64) -> Result<(), String> {
+    let package = PackageGeometry::xeon(&xeon_e5_v4());
+    let extent = package.spreader_rect();
+    // `GridSpec::with_pitch`'s cell counts, in floats so a tiny pitch
+    // cannot overflow them (a NaN pitch stays NaN and fails the bound).
+    let pitch_m = pitch_mm * 1e-3;
+    let cells =
+        (extent.width().value() / pitch_m).ceil() * (extent.height().value() / pitch_m).ceil();
+    if cells <= MAX_GRID_CELLS {
+        Ok(())
+    } else {
+        Err(format!(
+            "grid pitch {pitch_mm} mm needs {cells:.3e} thermal cells per layer, \
+             more than the {MAX_GRID_CELLS} a server model may allocate"
+        ))
+    }
+}
+
 /// Builder for [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerBuilder {
@@ -291,6 +321,17 @@ mod tests {
 
     fn coarse_server() -> Server {
         Server::xeon(2.0)
+    }
+
+    #[test]
+    fn grid_pitch_check_bounds_the_cell_count() {
+        for ok in [0.0664, 0.5, 1.0, 2.0, 3.5, 1e9] {
+            assert!(check_grid_pitch(ok).is_ok(), "{ok} mm rejected");
+        }
+        for bad in [0.0663, 0.0001, 1e-300, f64::NAN] {
+            let e = check_grid_pitch(bad).expect_err("pitch accepted");
+            assert!(e.contains("thermal cells"), "{e}");
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ use tps_cluster::{
     StaticControl, TelemetryConfig, ThermalAwareDispatch,
 };
 use tps_cooling::Chiller;
+use tps_core::check_grid_pitch;
 use tps_units::{Celsius, Seconds};
 use tps_workload::{BurstyDemand, ConstantDemand, DiurnalDemand, ServingDemand};
 
@@ -390,9 +391,6 @@ pub struct Scenario {
     pub policy: ServerPolicy,
     /// OS threads for the physics-cache warm-up.
     pub threads: usize,
-    /// Hall count for sharded dispatch (clamped to the rack count by the
-    /// kernel; outcomes are bit-identical across any value).
-    pub shards: usize,
     /// Chiller heat-rejection / heat-reuse loop temperature, °C.
     pub heat_reuse_c: f64,
     /// Water inlet of the server thermosyphon loops, °C (5–60).
@@ -474,12 +472,12 @@ impl Scenario {
             "grid_pitch_mm",
             "policy",
             "threads",
-            "shards",
             "classes",
         ])?;
         let racks = fleet.count("racks", 2)?;
         let servers_per_rack = fleet.count("servers_per_rack", 8)?;
         let grid_pitch_mm = fleet.positive_f64("grid_pitch_mm", 2.0)?;
+        check_grid_pitch(grid_pitch_mm).map_err(|e| fleet.value_error("grid_pitch_mm", e))?;
         let policy = match policy_from_name(&fleet.string("policy", "proposed")?) {
             Some(p) => p,
             None => {
@@ -494,7 +492,6 @@ impl Scenario {
             Some(n) => n,
             None => FleetConfig::default_threads(),
         };
-        let shards = fleet.count("shards", 1)?;
 
         let classes = parse_server_classes(doc)?;
         let rack_classes = parse_rack_classes(&fleet, doc, racks, &classes)?;
@@ -897,7 +894,6 @@ impl Scenario {
             grid_pitch_mm,
             policy,
             threads,
-            shards,
             heat_reuse_c,
             water_inlet_c,
             jobs,
@@ -922,7 +918,6 @@ impl Scenario {
         config.chiller = Chiller::new(Celsius::new(self.heat_reuse_c));
         config.policy = self.policy;
         config.threads = self.threads;
-        config.shards = self.shards;
         if !self.classes.is_empty() {
             config.catalog = FleetCatalog::new(
                 self.classes
@@ -1061,6 +1056,9 @@ fn parse_server_classes(doc: &Table) -> Result<Vec<ClassSpec>, SpecError> {
             ));
         }
         let grid_pitch_mm = ctx.positive_f64_opt("grid_pitch_mm")?;
+        if let Some(p) = grid_pitch_mm {
+            check_grid_pitch(p).map_err(|e| ctx.value_error("grid_pitch_mm", e))?;
+        }
         let water_inlet_c = ctx.f64_opt("water_inlet_c")?;
         if let Some(t) = water_inlet_c {
             if !(5.0..=60.0).contains(&t) {

@@ -37,7 +37,6 @@ const SWEEPABLE: &[&str] = &[
     "fleet.grid_pitch_mm",
     "fleet.policy",
     "fleet.threads",
-    "fleet.shards",
     "fleet.classes",
     "cooling.heat_reuse_c",
     "cooling.water_inlet_c",
@@ -481,9 +480,9 @@ fn run_grid(
 
     // Phase 2: replay the grid across workers. Each point gets fresh
     // dispatcher *and* control instances (both can be stateful) and the
-    // leftover share of the thread budget for its own hall fan-out
-    // (`fleet.shards`); outcomes and traces are bit-identical at any
-    // worker count and any shard count, so the split is pure scheduling.
+    // leftover share of the thread budget for its own warm-up and
+    // telemetry fan-out; outcomes and traces are bit-identical at any
+    // worker count, so the split is pure scheduling.
     let workers = threads.clamp(1, scenarios.len().max(1));
     let inner_threads = tps_cluster::thread_budget(threads, workers);
     let next = AtomicUsize::new(0);
@@ -943,30 +942,6 @@ mod tests {
         assert_eq!(report.rows.len(), 4);
         assert!(report.rows.iter().all(|r| r.control == "planner"));
         // Same seed, same spec ⇒ deterministic across worker counts.
-        assert_eq!(report.to_csv(), sweep.run(1).unwrap().to_csv());
-    }
-
-    #[test]
-    fn shard_axis_sweeps_to_identical_outcomes() {
-        // `fleet.shards` is a pure wall-clock knob: every grid point must
-        // report byte-identical outcome columns, only the name differing.
-        let src = with_sweep(
-            "[dispatch]\n\
-             dispatcher = \"thermal\"\n\
-             [sweep]\n\
-             fleet.shards = [1, 2, 8]",
-        );
-        let sweep = Sweep::parse(&src, "halls").unwrap();
-        let report = sweep.run(2).unwrap();
-        assert_eq!(report.rows.len(), 3);
-        let csv = report.to_csv();
-        let stripped: Vec<&str> = csv
-            .lines()
-            .skip(1)
-            .map(|l| l.split_once(',').expect("name column").1)
-            .collect();
-        assert_eq!(stripped[0], stripped[1], "2 halls diverged from 1");
-        assert_eq!(stripped[0], stripped[2], "8 halls diverged from 1");
         assert_eq!(report.to_csv(), sweep.run(1).unwrap().to_csv());
     }
 

@@ -374,3 +374,25 @@ fn set_points_below_absolute_zero_are_rejected_with_their_line() {
     assert!(e.message.contains("-300"), "{e}");
     assert!(e.message.contains("below absolute zero"), "{e}");
 }
+
+#[test]
+fn a_grid_pitch_too_fine_to_allocate_is_rejected_with_its_line() {
+    let e = fail_scenario("[fleet]\nracks = 1\ngrid_pitch_mm = 0.0001\n");
+    assert_eq!(e.line, Some(3));
+    assert!(e.message.contains("grid pitch 0.0001 mm"), "{e}");
+    assert!(e.message.contains("thermal cells"), "{e}");
+
+    // The per-class override goes through the same check.
+    let e = fail_scenario(
+        "[fleet]\nclasses = [\"x\"]\n[[server_class]]\nname = \"x\"\ngrid_pitch_mm = 0.0001\n",
+    );
+    assert_eq!(e.line, Some(5));
+    assert!(e.message.contains("thermal cells"), "{e}");
+}
+
+#[test]
+fn the_removed_shards_key_is_an_unknown_key() {
+    let e = fail_scenario("[fleet]\nshards = 2\n");
+    assert_eq!(e.line, Some(2));
+    assert!(e.message.contains("unknown key `shards`"), "{e}");
+}

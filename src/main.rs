@@ -27,8 +27,8 @@ use tps::cluster::{
 };
 use tps::cooling::Chiller;
 use tps::core::{
-    ConfigSelector, CoskunBalancing, InletFirstMapping, MappingPolicy, MinPowerSelector,
-    PackAndCapSelector, PackedMapping, ProposedMapping, Server,
+    check_grid_pitch, ConfigSelector, CoskunBalancing, InletFirstMapping, MappingPolicy,
+    MinPowerSelector, PackAndCapSelector, PackedMapping, ProposedMapping, Server,
 };
 use tps::power::CState;
 use tps::scenario::Sweep;
@@ -67,8 +67,7 @@ fn print_usage() {
          tps profile <benchmark>   print the 48-point P/Q configuration table\n  \
          tps fleet [--servers N] [--racks N] [--jobs N] [--seed N] [--rate JOBS/S]\n  \
          {:14}[--demand constant|diurnal|bursty] [--dispatcher all|rr|coolest|thermal|planned]\n  \
-         {:14}[--policy NAME] [--ambient C] [--pitch MM] [--threads N] [--shards N]\n  \
-         {:14}(shards split racks into halls simulated with a deterministic merge)\n  \
+         {:14}[--policy NAME] [--ambient C] [--pitch MM] [--threads N]\n  \
          {:14}[--classes NAME[:PITCH[:INLET[:POLICY]]],...]  heterogeneous racks\n  \
          {:14}(classes cycle across racks; fields omitted inherit the fleet flags)\n  \
          {:14}[--control static|setpoint|shed|autoscale|planner] [--setpoints T:C,T:C,...] [--tick S]\n  \
@@ -82,7 +81,7 @@ fn print_usage() {
          {:14}expand a scenario spec's sweep grid, write CSV + Markdown reports\n  \
          {:14}(spec schema and cookbook: docs/SCENARIOS.md, examples: scenarios/)\n  \
          tps list                  list benchmarks, policies and selectors\n",
-        "", "", "", "", "", "", "", "", "", "", "", "", "", "", ""
+        "", "", "", "", "", "", "", "", "", "", "", "", "", ""
     );
 }
 
@@ -151,6 +150,9 @@ fn cmd_run(raw: &[String]) -> ExitCode {
         Ok(_) => return fail("--pitch must be a positive number of millimetres"),
         Err(e) => return fail(e),
     };
+    if let Err(e) = check_grid_pitch(pitch) {
+        return fail(format!("--pitch: {e}"));
+    }
 
     println!(
         "simulating {bench} @ {qos} QoS ({} / {})…",
@@ -242,7 +244,6 @@ struct FleetArgs {
     ambient: f64,
     pitch: f64,
     threads: usize,
-    shards: usize,
     classes: Vec<ServerClass>,
     control: ControlSpec,
     trace_out: Option<String>,
@@ -276,6 +277,7 @@ fn parse_classes(raw: &str) -> Result<Vec<ServerClass>, String> {
             if !(p > 0.0 && p.is_finite()) {
                 return Err(format!("--classes pitch `{pitch}` must be positive"));
             }
+            check_grid_pitch(p).map_err(|e| format!("--classes pitch: {e}"))?;
             class.grid_pitch_mm = Some(p);
         }
         if let Some(inlet) = fields.next().filter(|s| !s.trim().is_empty()) {
@@ -436,7 +438,6 @@ fn parse_fleet_args(raw: &[String]) -> Result<FleetArgs, String> {
             "ambient",
             "pitch",
             "threads",
-            "shards",
             "classes",
             "control",
             "setpoints",
@@ -567,7 +568,6 @@ fn parse_fleet_args(raw: &[String]) -> Result<FleetArgs, String> {
         ambient: args.parsed("ambient", 70.0)?,
         pitch: args.parsed("pitch", 2.0)?,
         threads: args.parsed("threads", FleetConfig::default_threads())?,
-        shards: args.parsed("shards", 1usize)?,
         classes: match args.flag("classes") {
             None => Vec::new(),
             Some(raw) => parse_classes(raw)?,
@@ -584,15 +584,14 @@ fn parse_fleet_args(raw: &[String]) -> Result<FleetArgs, String> {
         || out.rate <= 0.0
         || out.pitch <= 0.0
         || out.threads == 0
-        || out.shards == 0
         || out.sample <= 0.0
     {
         return Err(
-            "--servers, --racks, --jobs, --rate, --pitch, --threads, --shards and --sample \
-             must be positive"
+            "--servers, --racks, --jobs, --rate, --pitch, --threads and --sample must be positive"
                 .to_owned(),
         );
     }
+    check_grid_pitch(out.pitch).map_err(|e| format!("--pitch: {e}"))?;
     match &out.control {
         ControlSpec::Shed { tick } | ControlSpec::Autoscale { tick } if *tick <= 0.0 => {
             return Err("--tick must be positive".to_owned());
@@ -700,22 +699,11 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
         }
     }
 
-    let shards = if a.shards > racks {
-        eprintln!(
-            "warning: --shards {} exceeds {racks} racks; clamping to {racks} halls",
-            a.shards
-        );
-        racks
-    } else {
-        a.shards
-    };
-
     let mut config = FleetConfig::new(racks, servers_per_rack);
     config.grid_pitch_mm = a.pitch;
     config.chiller = Chiller::new(Celsius::new(a.ambient));
     config.policy = a.policy;
     config.threads = a.threads;
-    config.shards = shards;
     config.serving = a.serving;
     if !a.classes.is_empty() {
         // Classes cycle across racks: rack r is entirely class r mod k.
@@ -750,16 +738,11 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
         println!("classes: {} — cycled across racks", summary.join(", "));
     }
     println!(
-        "scenario: heat-recovery loop at {:.1} °C, water inlet {:.1}, {:.1} mm grid, {} warm-up threads{}",
+        "scenario: heat-recovery loop at {:.1} °C, water inlet {:.1}, {:.1} mm grid, {} warm-up threads",
         a.ambient,
         fleet.config().op.water_inlet(),
         a.pitch,
         a.threads,
-        if shards > 1 {
-            format!(", {shards} halls")
-        } else {
-            String::new()
-        }
     );
     println!(
         "control: {}{}\n",
@@ -824,19 +807,11 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
                         result.stats.arena_high_water,
                     );
                     println!(
-                        "  cache: {} table hits, {} miss solves, {} lock acquisitions",
+                        "  cache (this run): {} table hits, {} miss solves, {} lock acquisitions",
                         result.stats.table_hits,
                         result.stats.miss_solves,
                         result.stats.lock_acquisitions,
                     );
-                    if result.stats.halls.len() > 1 {
-                        for h in &result.stats.halls {
-                            println!(
-                                "  hall {}: racks {}..{}, {} placements, {} expiries",
-                                h.hall, h.rack_lo, h.rack_hi, h.placements, h.expiries
-                            );
-                        }
-                    }
                 }
                 if let Some(s) = &out.serving {
                     println!(
@@ -885,7 +860,7 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
         }
     }
     println!(
-        "\nserver-physics cache: {} distinct solves, {} replays ({} table hits, {} miss solves, {} locks) — event queue: peak depth {}, arena high-water {}",
+        "\nserver-physics cache (whole process): {} distinct solves, {} replays ({} table hits, {} miss solves, {} locks) — event queue: peak depth {}, arena high-water {}",
         cache.solves(),
         cache.hits(),
         cache.table_hits(),
@@ -964,7 +939,7 @@ fn cmd_sweep(raw: &[String]) -> ExitCode {
         }
     };
     println!(
-        "executed {} grid point(s) in {:.2} s — server-physics cache: {} distinct solves, {} replays ({} table hits, {} miss solves, {} locks) — event queue: peak depth {}, arena high-water {}\n",
+        "executed {} grid point(s) in {:.2} s — server-physics cache (whole process): {} distinct solves, {} replays ({} table hits, {} miss solves, {} locks) — event queue: peak depth {}, arena high-water {}\n",
         report.rows.len(),
         started.elapsed().as_secs_f64(),
         report.cache_solves,

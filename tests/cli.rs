@@ -1,10 +1,10 @@
-//! Bad fleet input must exit 1 with a named error, never panic (exit 101).
+//! Bad input must exit 1 with a named error, never panic (exit 101) or
+//! abort (exit 134).
 
 use std::process::Command;
 
-fn tps_fleet(args: &[&str]) -> (Option<i32>, String) {
+fn tps(args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_tps"))
-        .arg("fleet")
         .args(args)
         .output()
         .expect("the tps binary runs");
@@ -12,6 +12,10 @@ fn tps_fleet(args: &[&str]) -> (Option<i32>, String) {
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
+}
+
+fn tps_fleet(args: &[&str]) -> (Option<i32>, String) {
+    tps(&[&["fleet"], args].concat())
 }
 
 #[test]
@@ -28,4 +32,43 @@ fn a_set_point_below_absolute_zero_exits_1() {
     let (code, err) = tps_fleet(&["--control", "setpoint", "--setpoints", "0:-300"]);
     assert_eq!(code, Some(1), "{err}");
     assert!(err.contains("below absolute zero"), "{err}");
+}
+
+#[test]
+fn a_grid_pitch_too_fine_to_allocate_exits_1_before_building() {
+    // A 0.0001 mm pitch would need ~1.2e11 cells per layer; the check
+    // must refuse it instead of letting the allocation abort the process.
+    for args in [
+        &[
+            "fleet",
+            "--servers",
+            "8",
+            "--jobs",
+            "4",
+            "--pitch",
+            "0.0001",
+        ][..],
+        &[
+            "fleet",
+            "--servers",
+            "8",
+            "--jobs",
+            "4",
+            "--classes",
+            "a:0.0001",
+        ],
+        &["run", "x264", "--pitch", "0.0001"],
+    ] {
+        let (code, err) = tps(args);
+        assert_eq!(code, Some(1), "tps {args:?}: {err}");
+        assert!(err.contains("grid pitch 0.0001 mm"), "{err}");
+        assert!(err.contains("thermal cells"), "{err}");
+    }
+}
+
+#[test]
+fn the_shards_flag_is_gone() {
+    let (code, err) = tps_fleet(&["--shards", "2"]);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("unknown flag `--shards`"), "{err}");
 }
