@@ -19,7 +19,7 @@
 //! enumeration is the simulator's whole runtime, so the kernel also hands
 //! dispatchers a [`FleetIndex`]: the committed racks ordered by heat, the
 //! idle racks grouped by class pattern, and a per-rack mutation stamp.
-//! Two facts make the indexed walk *bit-identical* to the full
+//! Two facts make the indexed minimum *bit-identical* to the full
 //! enumeration:
 //!
 //! * every idle rack of one class pattern has the exact same
@@ -30,14 +30,20 @@
 //!   group's lowest-index rack is accepted or every member would have
 //!   been rejected;
 //! * the ranking's sort key `(power, heat, rack, class)` is a total
-//!   order, so scoring racks from the index instead of in rack order
-//!   cannot change the sorted result.
+//!   order, so the first entry of the sorted ranking that meets its wait
+//!   budget is the minimum of the feasible candidates under the same key,
+//!   whatever order they are scored in.
 //!
-//! [`ThermalAwareDispatch`] has exactly three paths over that ranking:
-//! the indexed *fold* (one pass keeping the minimum, the common case),
-//! the indexed *walk* (the full ranking, sorted and walked, only when
-//! the fold's winner blows its wait budget), and the full-enumeration
-//! *oracle* for hand-assembled views without an index.
+//! [`ThermalAwareDispatch`] has exactly three paths: the indexed *fold*
+//! (one pass keeping the minimum, the common case); the *feasible pass*,
+//! a second run of the same scoring loop that keeps the minimum among the
+//! candidates meeting their wait budget, taken only when the fold's
+//! winner blows its budget; and the full-enumeration *oracle*, which
+//! sorts every `(rack, class)` slot and walks the ranking, for
+//! hand-assembled views without an index. Feasibility is checked only
+//! for a candidate that beats the current feasible best, so neither pass
+//! builds or sorts a ranking. [`PlannedDispatch`] keeps its feasible
+//! minimum the same way.
 //!
 //! # Activation: the serving-mode capacity mask
 //!
@@ -486,12 +492,13 @@ impl FleetDispatcher for CoolestRackFirst {
     }
 }
 
-/// One ranked `(rack, class)` candidate of the indexed thermal-aware
-/// walk. Group entries represent *every* idle rack of their group: the
-/// stored rack is the group's lowest index, and if it fails the wait
-/// check (only possible on a negative budget, since idle servers wait 0)
-/// every other member fails identically, so no per-entry marker is
-/// needed — the walk treats both kinds uniformly.
+/// One `(rack, class)` candidate under the total key `(p, h, rack,
+/// class)`: `p` is the score (marginal chiller power, or total energy for
+/// [`PlannedDispatch`]) and `h` the rack's committed heat. An indexed
+/// idle-group entry represents *every* idle rack of its group: the stored
+/// rack is the group's lowest index, and if it fails the wait check (only
+/// possible on a negative budget, since idle servers wait 0) every other
+/// member fails identically, so no per-entry marker is needed.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     p: f64,
@@ -501,8 +508,8 @@ struct Candidate {
 }
 
 /// The fold's initial accumulator: loses to every real candidate (`p`
-/// compares by `total_cmp`, and a real fold never produces a non-finite
-/// power), and its `rack` doubles as the "no candidates at all" marker.
+/// compares by `total_cmp`, and a real score is never non-finite), and its
+/// `rack` doubles as the "no candidate at all" marker.
 const SENTINEL: Candidate = Candidate {
     p: f64::INFINITY,
     h: f64::INFINITY,
@@ -510,25 +517,60 @@ const SENTINEL: Candidate = Candidate {
     class: u32::MAX,
 };
 
-/// Folds one candidate into the running minimum under the exact total
-/// key the ranked walk sorts by — `(power, heat, rack, class)`. The
+/// Whether `a` precedes `b` under the total key `(power, heat, rack,
+/// class)` — the order [`ThermalAwareDispatch::place_scan`] sorts by. The
 /// power comparison almost always decides, so the tie keys are only
 /// evaluated on an exact power tie.
 #[inline]
-fn consider(cand: Candidate, best: &mut Candidate) {
+fn precedes(a: &Candidate, b: &Candidate) -> bool {
     use std::cmp::Ordering;
-    let replace = match best.p.total_cmp(&cand.p) {
-        Ordering::Greater => true,
-        Ordering::Less => false,
-        Ordering::Equal => best
-            .h
-            .total_cmp(&cand.h)
-            .then(best.rack.cmp(&cand.rack))
-            .then(best.class.cmp(&cand.class))
-            .is_gt(),
-    };
-    if replace {
-        *best = cand;
+    match a.p.total_cmp(&b.p) {
+        Ordering::Less => true,
+        Ordering::Greater => false,
+        Ordering::Equal => {
+            a.h.total_cmp(&b.h)
+                .then(a.rack.cmp(&b.rack))
+                .then(a.class.cmp(&b.class))
+                .is_lt()
+        }
+    }
+}
+
+/// The server a candidate would dispatch to — its class's earliest-free
+/// server on its rack — if that server's wait meets the class's budget.
+fn feasible_server(
+    cand: &Candidate,
+    demand: &JobDemand<'_>,
+    view: &FleetView<'_>,
+) -> Option<usize> {
+    let (server, _) = view
+        .earliest_free_of_class(cand.rack as usize, cand.class as usize)
+        .expect("candidates only name hosted classes");
+    (view.wait_on(server) <= demand.class(cand.class as usize).wait_budget).then_some(server)
+}
+
+/// The minimum over the *feasible* candidates, built one offer at a time:
+/// the first feasible entry of the sorted ranking, without the sort.
+/// Feasibility is only checked for a candidate that beats the current
+/// feasible best on the key, so most offers cost one compare.
+#[derive(Default)]
+struct FeasibleMin(Option<(Candidate, usize)>);
+
+impl FeasibleMin {
+    #[inline]
+    fn offer(&mut self, cand: Candidate, demand: &JobDemand<'_>, view: &FleetView<'_>) {
+        if self.0.map_or(true, |(best, _)| precedes(&cand, &best)) {
+            if let Some(server) = feasible_server(&cand, demand, view) {
+                self.0 = Some((cand, server));
+            }
+        }
+    }
+
+    /// The winning server, or [`fallback_min_free`] if no candidate met
+    /// its budget.
+    fn pick(&self, view: &FleetView<'_>) -> usize {
+        self.0
+            .map_or_else(|| fallback_min_free(view), |(_, server)| server)
     }
 }
 
@@ -544,12 +586,12 @@ fn consider(cand: Candidate, best: &mut Candidate) {
 /// or run at high COP, while the few jobs that need cold supply are
 /// concentrated instead of contaminating every rack.
 ///
-/// With a [`FleetIndex`] the ranking is built from the occupied racks
-/// plus one representative per idle rack group — bit-identical to the
-/// full `(rack, class)` enumeration it replaces (see the module docs).
+/// With a [`FleetIndex`] the candidates are the occupied racks plus one
+/// representative per idle rack group, reduced by an exact minimum fold —
+/// bit-identical to sorting the full `(rack, class)` enumeration and
+/// walking it (see the module docs).
 #[derive(Debug, Default)]
 pub struct ThermalAwareDispatch {
-    ranked: Vec<Candidate>,
     /// Per-rack COP cache — see [`CopSlot`]. Neither cached term depends
     /// on the arrival's demand signature, so the slots replay across all
     /// rotating signatures; caching them removes two of the three float
@@ -639,6 +681,101 @@ fn entry_cop(
     (slot.cop_s, slot.current, supply_f)
 }
 
+/// Scores every indexed candidate in the active prefix — one
+/// representative per idle group, then each occupied rack's classes — and
+/// hands it to `offer`. A minimum under the strict `(p, h, rack, class)`
+/// total order is the same whatever the visit order, since every
+/// candidate's `(rack, class)` is unique.
+///
+/// Idle representatives' scores are rack-independent slab reads. For
+/// occupied racks, `heat()`/`supply()` replay the rack view's fields
+/// bit-for-bit (the entry caches their raw bits), and
+/// `group_classes[e.group]` is `classes_in_rack(r)` by construction
+/// (groups are keyed on exact slice equality). The score is a
+/// bit-identical unrolling of `marginal_power`: both branches of
+/// `min(supply, max_water_temp)` replay the same pure COP on the same
+/// input (a tie gives equal COP bits either way). The uniform catalog's
+/// single `(group, class)` is hoisted out of the loop so the class
+/// constants live in registers and the inner loop disappears.
+#[inline(always)]
+fn score_indexed(
+    cop_racks: &mut [CopSlot],
+    lab: &[SigClass],
+    view: &FleetView<'_>,
+    ix: &FleetIndex<'_>,
+    mut offer: impl FnMut(Candidate),
+) {
+    let active_racks = view.servers.active_racks();
+    let epoch = view.chiller_epoch;
+    for (g, &m) in ix.idle_min.iter().enumerate() {
+        // The group representative is its lowest *active* rack: the sets
+        // ascend, so a cached minimum past the prefix means no member is
+        // inside it.
+        let Some(first) = m.filter(|&r| (r as usize) < active_racks) else {
+            continue;
+        };
+        for &c in &ix.group_classes[g] {
+            offer(Candidate {
+                p: lab[c].idle_p,
+                h: 0.0,
+                rack: first,
+                class: c as u32,
+            });
+        }
+    }
+    match ix.group_classes {
+        [single] if single.len() == 1 => {
+            let c = single[0];
+            let sc = lab[c];
+            for e in ix.occupied.iter() {
+                let r = e.rack as usize;
+                if r >= active_racks {
+                    continue;
+                }
+                let h = e.heat();
+                let (cop_s, current, supply_f) =
+                    entry_cop(&mut cop_racks[r], e, epoch, view.chiller);
+                let joint_cop = if supply_f <= sc.mwt {
+                    cop_s
+                } else {
+                    sc.cop_mwt
+                };
+                offer(Candidate {
+                    p: (h + sc.heat) / joint_cop - current,
+                    h,
+                    rack: e.rack,
+                    class: c as u32,
+                });
+            }
+        }
+        _ => {
+            for e in ix.occupied.iter() {
+                let r = e.rack as usize;
+                if r >= active_racks {
+                    continue;
+                }
+                let h = e.heat();
+                let (cop_s, current, supply_f) =
+                    entry_cop(&mut cop_racks[r], e, epoch, view.chiller);
+                for &c in &ix.group_classes[e.group as usize] {
+                    let sc = &lab[c];
+                    let joint_cop = if supply_f <= sc.mwt {
+                        cop_s
+                    } else {
+                        sc.cop_mwt
+                    };
+                    offer(Candidate {
+                        p: (h + sc.heat) / joint_cop - current,
+                        h,
+                        rack: e.rack,
+                        class: c as u32,
+                    });
+                }
+            }
+        }
+    }
+}
+
 impl ThermalAwareDispatch {
     /// Refreshes the per-signature [`SigClass`] slab for `sig` under the
     /// current chiller epoch (a no-op when it is already fresh).
@@ -674,16 +811,16 @@ impl ThermalAwareDispatch {
         }
     }
 
-    /// Scores candidates from the incremental index and picks the
-    /// cheapest slot meeting its wait budget.
+    /// Picks the cheapest slot meeting its wait budget from the
+    /// incremental index, in at most two passes of one scoring loop
+    /// ([`score_indexed`]).
     ///
-    /// Fast path first: a single-pass minimum fold over the contiguous
-    /// [`OccupiedRack`] entries plus one representative per idle group,
-    /// reduced under the `(power, heat, rack, class)` total key. When the
-    /// fold's winner meets its wait budget (the overwhelmingly common
-    /// case) no ranking is materialized at all; otherwise
-    /// [`walk_indexed`](Self::walk_indexed) rebuilds and walks the full
-    /// sorted ranking, bit-identical to the fold's order.
+    /// Pass 1 folds every candidate into the minimum under the `(power,
+    /// heat, rack, class)` total key; when that winner meets its wait
+    /// budget (the overwhelmingly common case) it is the answer. Otherwise
+    /// pass 2 rescores the same candidates into a [`FeasibleMin`] — the
+    /// minimum over the feasible ones, which is exactly the first feasible
+    /// entry of the sorted ranking the oracle walks.
     fn place_indexed(
         &mut self,
         demand: &JobDemand<'_>,
@@ -691,9 +828,7 @@ impl ThermalAwareDispatch {
         ix: &FleetIndex<'_>,
     ) -> usize {
         let sig = demand.sig as usize;
-        let epoch = view.chiller_epoch;
-        let active_racks = view.servers.active_racks();
-        self.refresh_sig_lab(sig, epoch, demand, view);
+        self.refresh_sig_lab(sig, view.chiller_epoch, demand, view);
         if self.cop_racks.len() != view.racks.len() {
             self.cop_racks.clear();
             self.cop_racks.resize(view.racks.len(), CopSlot::EMPTY);
@@ -703,177 +838,21 @@ impl ThermalAwareDispatch {
             None => unreachable!("slab was just filled"),
         };
         let mut best = SENTINEL;
-        // Idle representatives first — their scores are rack-independent
-        // slab reads. The fold's minimum under the strict `(p, h, rack,
-        // class)` total order is the same whatever the visit order, since
-        // every candidate's `(rack, class)` is unique.
-        for (g, &m) in ix.idle_min.iter().enumerate() {
-            let Some(first) = m.filter(|&r| (r as usize) < active_racks) else {
-                continue;
-            };
-            for &c in &ix.group_classes[g] {
-                consider(
-                    Candidate {
-                        p: lab[c].idle_p,
-                        h: 0.0,
-                        rack: first,
-                        class: c as u32,
-                    },
-                    &mut best,
-                );
+        score_indexed(&mut self.cop_racks, lab, view, ix, |c| {
+            if precedes(&c, &best) {
+                best = c;
             }
-        }
-        // `heat()`/`supply()` replay the rack view's fields bit-for-bit
-        // (the entry caches their raw bits), and `group_classes[e.group]`
-        // is `classes_in_rack(r)` by construction (groups are keyed on
-        // exact slice equality). Bit-identical unrolling of
-        // `marginal_power`: both branches of
-        // `min(supply, max_water_temp)` replay the same pure COP on the
-        // same input (a tie gives equal COP bits either way). The uniform
-        // catalog's single `(group, class)` is hoisted out of the fold so
-        // the class constants live in registers and the inner loop
-        // disappears.
-        match ix.group_classes {
-            [single] if single.len() == 1 => {
-                let c = single[0];
-                let sc = lab[c];
-                for e in ix.occupied.iter() {
-                    let r = e.rack as usize;
-                    if r >= active_racks {
-                        continue;
-                    }
-                    let h = e.heat();
-                    let (cop_s, current, supply_f) =
-                        entry_cop(&mut self.cop_racks[r], e, epoch, view.chiller);
-                    let joint_cop = if supply_f <= sc.mwt {
-                        cop_s
-                    } else {
-                        sc.cop_mwt
-                    };
-                    let p = (h + sc.heat) / joint_cop - current;
-                    consider(
-                        Candidate {
-                            p,
-                            h,
-                            rack: e.rack,
-                            class: c as u32,
-                        },
-                        &mut best,
-                    );
-                }
-            }
-            _ => {
-                for e in ix.occupied.iter() {
-                    let r = e.rack as usize;
-                    if r >= active_racks {
-                        continue;
-                    }
-                    let h = e.heat();
-                    let (cop_s, current, supply_f) =
-                        entry_cop(&mut self.cop_racks[r], e, epoch, view.chiller);
-                    for &c in &ix.group_classes[e.group as usize] {
-                        let sc = &lab[c];
-                        let joint_cop = if supply_f <= sc.mwt {
-                            cop_s
-                        } else {
-                            sc.cop_mwt
-                        };
-                        let p = (h + sc.heat) / joint_cop - current;
-                        consider(
-                            Candidate {
-                                p,
-                                h,
-                                rack: e.rack,
-                                class: c as u32,
-                            },
-                            &mut best,
-                        );
-                    }
-                }
-            }
-        }
-        if best.rack != u32::MAX {
-            let (server, _) = view
-                .earliest_free_of_class(best.rack as usize, best.class as usize)
-                .expect("the index only lists hosted classes");
-            if view.wait_on(server) <= demand.class(best.class as usize).wait_budget {
-                return server;
-            }
-        }
-        self.walk_indexed(demand, view, ix)
-    }
-
-    /// The indexed slow path, taken only when the fold's winner blows its
-    /// wait budget: materialize the full candidate list (same entries as
-    /// the fold), sort it under the same key, and walk it in order.
-    /// Occupied racks are scored with `marginal_power` directly; idle
-    /// representatives reuse the signature slab's `idle_p`, which
-    /// [`place_indexed`](Self::place_indexed) has just refreshed — the
-    /// same pure call on the same inputs, so the same bits.
-    fn walk_indexed(
-        &mut self,
-        demand: &JobDemand<'_>,
-        view: &FleetView<'_>,
-        ix: &FleetIndex<'_>,
-    ) -> usize {
-        let active_racks = view.servers.active_racks();
-        let lab: &[SigClass] = match &self.sig_lab[demand.sig as usize] {
-            Some((_, v)) => v,
-            None => unreachable!("place_indexed fills the slab first"),
-        };
-        self.ranked.clear();
-        for e in ix.occupied.iter() {
-            let r = e.rack as usize;
-            if r >= active_racks {
-                continue;
-            }
-            let rv = &view.racks[r];
-            for &c in &ix.group_classes[e.group as usize] {
-                self.ranked.push(Candidate {
-                    p: marginal_power(view.chiller, rv, &demand.class(c).state),
-                    h: rv.heat.value(),
-                    rack: e.rack,
-                    class: c as u32,
-                });
-            }
-        }
-        for (g, &m) in ix.idle_min.iter().enumerate() {
-            // The group representative is its lowest *active* rack: the
-            // representative argument (bit-identical views, identical
-            // wait checks) holds within the active prefix just as well
-            // (the sets ascend, so a cached minimum past the prefix means
-            // no member is inside it).
-            let Some(first) = m.filter(|&r| (r as usize) < active_racks) else {
-                continue;
-            };
-            for &c in &ix.group_classes[g] {
-                self.ranked.push(Candidate {
-                    p: lab[c].idle_p,
-                    h: 0.0,
-                    rack: first,
-                    class: c as u32,
-                });
-            }
-        }
-        // The same total order the full enumeration sorts by — within an
-        // equal (power, heat) run, a group entry stands at its lowest
-        // rack's position, and skipping the rest of a failed group is
-        // sound because its members fail the wait check identically.
-        self.ranked.sort_unstable_by(|a, b| {
-            a.p.total_cmp(&b.p)
-                .then(a.h.total_cmp(&b.h))
-                .then(a.rack.cmp(&b.rack))
-                .then(a.class.cmp(&b.class))
         });
-        for c in &self.ranked {
-            let (server, _) = view
-                .earliest_free_of_class(c.rack as usize, c.class as usize)
-                .expect("the index only lists hosted classes");
-            if view.wait_on(server) <= demand.class(c.class as usize).wait_budget {
+        if best.rack != u32::MAX {
+            if let Some(server) = feasible_server(&best, demand, view) {
                 return server;
             }
         }
-        fallback_min_free(view)
+        let mut feasible = FeasibleMin::default();
+        score_indexed(&mut self.cop_racks, lab, view, ix, |c| {
+            feasible.offer(c, demand, view)
+        });
+        feasible.pick(view)
     }
 
     /// The full `(rack, class)` enumeration — the reference path for
@@ -955,8 +934,11 @@ impl FleetDispatcher for PlannedDispatch {
         "planned"
     }
 
+    /// One pass keeping the minimum feasible candidate under the
+    /// `(energy, heat, rack, class)` total key — the first feasible entry
+    /// of that ranking, without building or sorting it.
     fn place(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
-        let mut ranked: Vec<(f64, f64, usize, ClassId)> = Vec::new();
+        let mut feasible = FeasibleMin::default();
         for i in 0..view.servers.active_racks() {
             let rack = view.rack_view(i);
             for &class in view.classes_in_rack(i) {
@@ -964,27 +946,16 @@ impl FleetDispatcher for PlannedDispatch {
                 let energy = d.runtime.value()
                     * (d.state.package_power.value()
                         + marginal_power(view.chiller, rack, &d.state));
-                ranked.push((energy, rack.heat.value(), i, class));
+                let cand = Candidate {
+                    p: energy,
+                    h: rack.heat.value(),
+                    rack: i as u32,
+                    class: class as u32,
+                };
+                feasible.offer(cand, demand, view);
             }
         }
-        // Cheapest total energy first; lighter rack, then rack index, then
-        // class id, on ties — the same deterministic total order the
-        // thermal-aware ranking uses.
-        ranked.sort_by(|a, b| {
-            a.0.total_cmp(&b.0)
-                .then(a.1.total_cmp(&b.1))
-                .then(a.2.cmp(&b.2))
-                .then(a.3.cmp(&b.3))
-        });
-        for &(_, _, rack, class) in &ranked {
-            let (server, _) = view
-                .earliest_free_of_class(rack, class)
-                .expect("classes_in_rack only returns hosted classes");
-            if view.wait_on(server) <= demand.class(class).wait_budget {
-                return server;
-            }
-        }
-        fallback_min_free(view)
+        feasible.pick(view)
     }
 }
 
@@ -1326,9 +1297,9 @@ mod tests {
     fn indexed_dispatch_matches_the_full_scan() {
         // Two rack groups — racks {0,1} host class 0, racks {2,3} host
         // both — with rack 1 committed and the rest idle. The indexed
-        // fold and walk (group representatives + occupied racks) must pick
-        // exactly what the full enumeration picks, for
-        // cold and warm demand signatures alike, across repeated calls.
+        // fold and feasible pass (group representatives + occupied racks)
+        // must pick exactly what the full enumeration picks, for cold and
+        // warm demand signatures alike, across repeated calls.
         let j = job();
         let racks = vec![
             idle_rack_view(),
@@ -1400,7 +1371,7 @@ mod tests {
             }
         }
 
-        // Under an active-prefix mask (racks 0–1 only) the indexed walk
+        // Under an active-prefix mask (racks 0–1 only) the indexed path
         // must keep matching the scan: group {2,3} loses its
         // representative entirely, occupied rack 1 stays.
         let mut masked = table(vec![0, 0, 0, 0, 0, 1, 0, 1], 2, &[0.0; 8]);

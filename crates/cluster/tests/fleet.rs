@@ -2,10 +2,12 @@
 //! determinism guarantees the CLI relies on.
 
 use tps_cluster::{
-    synthesize_jobs, CoolestRackFirst, Fleet, FleetConfig, JobMix, OutcomeCache, RoundRobin,
-    SetpointScheduler, StaticControl, TelemetryConfig, ThermalAwareDispatch,
+    synthesize_jobs, ClassDemand, CoolestRackFirst, Fleet, FleetConfig, FleetDispatcher, FleetView,
+    JobDemand, JobMix, OutcomeCache, PlannedDispatch, RackView, RoundRobin, SetpointScheduler,
+    StaticControl, SteadyState, TelemetryConfig, ThermalAwareDispatch,
 };
-use tps_units::{Celsius, Seconds};
+use tps_cooling::Chiller;
+use tps_units::{Celsius, Seconds, Watts};
 use tps_workload::{BurstyDemand, DiurnalDemand};
 
 /// The shipped heat-reuse scenario, scaled down to 4 racks × 4 servers.
@@ -307,5 +309,185 @@ fn calendar_queue_matches_the_heap_oracle_end_to_end() {
             "outcome diverged for dispatcher {disp}"
         );
         assert_eq!(cal_csv, heap_csv, "trace diverged for dispatcher {disp}");
+    }
+}
+
+/// Forces the full-enumeration oracle: forwards every arrival to the inner
+/// dispatcher with the index stripped from the view. It also counts the
+/// arrivals whose first-choice slot — the pick under unlimited wait
+/// budgets — blows its real budget, i.e. the arrivals that exercise the
+/// wait-budget fallback.
+struct Unindexed<D> {
+    inner: D,
+    first_choice_failed: usize,
+}
+
+impl<D: FleetDispatcher> FleetDispatcher for Unindexed<D> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn place(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
+        let scan = FleetView {
+            index: None,
+            ..*view
+        };
+        let unlimited: Vec<ClassDemand> = demand
+            .classes
+            .iter()
+            .map(|c| ClassDemand {
+                wait_budget: Seconds::new(f64::INFINITY),
+                ..*c
+            })
+            .collect();
+        let first = self.inner.place(
+            &JobDemand {
+                classes: &unlimited,
+                ..*demand
+            },
+            &scan,
+        );
+        let budget = demand.class(view.servers.class_of(first)).wait_budget;
+        if view.wait_on(first) > budget {
+            self.first_choice_failed += 1;
+        }
+        self.inner.place(demand, &scan)
+    }
+
+    fn begin_run(&mut self) {
+        self.inner.begin_run();
+    }
+}
+
+/// Chiller electricity the rack pays per unit time if the job joins it.
+fn marginal_power(chiller: &Chiller, rack: &RackView, state: &SteadyState) -> f64 {
+    let current = match rack.supply {
+        Some(supply) => chiller.electrical_power(rack.heat, supply),
+        None => Watts::ZERO,
+    };
+    let joint_supply = rack
+        .supply
+        .map_or(state.max_water_temp, |s| s.min(state.max_water_temp));
+    let joint = chiller.electrical_power(rack.heat + state.heat, joint_supply);
+    (joint - current).value()
+}
+
+/// Total-energy dispatch written as a sorted ranking walked in order: the
+/// reference [`PlannedDispatch`]'s single feasible-minimum pass must match.
+#[derive(Default)]
+struct SortedPlanned {
+    first_choice_failed: usize,
+}
+
+impl FleetDispatcher for SortedPlanned {
+    fn name(&self) -> &'static str {
+        "planned"
+    }
+
+    fn place(&mut self, demand: &JobDemand<'_>, view: &FleetView<'_>) -> usize {
+        let mut ranked: Vec<(f64, f64, usize, usize)> = Vec::new();
+        for i in 0..view.servers.active_racks() {
+            let rack = view.rack_view(i);
+            for &class in view.classes_in_rack(i) {
+                let d = demand.class(class);
+                let energy = d.runtime.value()
+                    * (d.state.package_power.value()
+                        + marginal_power(view.chiller, rack, &d.state));
+                ranked.push((energy, rack.heat.value(), i, class));
+            }
+        }
+        ranked.sort_by(|a, b| {
+            a.0.total_cmp(&b.0)
+                .then(a.1.total_cmp(&b.1))
+                .then(a.2.cmp(&b.2))
+                .then(a.3.cmp(&b.3))
+        });
+        for (k, &(_, _, rack, class)) in ranked.iter().enumerate() {
+            let (server, _) = view.earliest_free_of_class(rack, class).unwrap();
+            if view.wait_on(server) <= demand.class(class).wait_budget {
+                return server;
+            }
+            if k == 0 {
+                self.first_choice_failed += 1;
+            }
+        }
+        let free = view.servers.free_slice();
+        (0..view.servers.active_servers())
+            .min_by(|&a, &b| free[a].value().total_cmp(&free[b].value()))
+            .unwrap()
+    }
+}
+
+#[test]
+fn the_feasible_pass_matches_the_sorted_ranking_on_a_loaded_fleet() {
+    // 64 racks × 4 servers, one diurnal cycle keeping about half the
+    // fleet busy on average, under the 70 → 45 → 70 °C set-point program:
+    // enough load that many arrivals find their cheapest slot queued past
+    // its wait budget.
+    let (racks, per_rack, jobs_n) = (64, 4, 1500);
+    let demand = DiurnalDemand::new(0.6, 3.0, Seconds::new(1200.0));
+    let jobs = synthesize_jobs(jobs_n, &demand, JobMix::default(), 5);
+    let mut config = FleetConfig::new(racks, per_rack);
+    config.grid_pitch_mm = 3.0;
+    let fleet = Fleet::new(config);
+    let cache = OutcomeCache::new();
+    let span = jobs.last().unwrap().arrival.value();
+    let program = || {
+        SetpointScheduler::new(vec![
+            (Seconds::new(span / 3.0), Celsius::new(45.0)),
+            (Seconds::new(2.0 * span / 3.0), Celsius::new(70.0)),
+        ])
+    };
+    let run = |d: &mut dyn FleetDispatcher| {
+        fleet
+            .simulate_with(&jobs, d, &mut program(), None, &cache)
+            .unwrap()
+            .outcome
+    };
+
+    let indexed = run(&mut ThermalAwareDispatch::default());
+    let mut scan = Unindexed {
+        inner: ThermalAwareDispatch::default(),
+        first_choice_failed: 0,
+    };
+    let oracle = run(&mut scan);
+    let mut planned_sorted = SortedPlanned::default();
+    let planned = run(&mut PlannedDispatch);
+    let planned_oracle = run(&mut planned_sorted);
+
+    for (got, want) in [(&indexed, &oracle), (&planned, &planned_oracle)] {
+        for (a, b) in got.placements.iter().zip(&want.placements) {
+            assert_eq!(
+                (a.job, a.server, a.class),
+                (b.job, b.server, b.class),
+                "{}",
+                got.dispatcher
+            );
+        }
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{want:?}"),
+            "{}",
+            got.dispatcher
+        );
+    }
+    // The fleet is really loaded…
+    let busy: f64 = indexed
+        .placements
+        .iter()
+        .map(|p| p.end.value() - p.start.value())
+        .sum();
+    let utilization = busy / ((racks * per_rack) as f64 * indexed.makespan.value());
+    assert!(utilization >= 0.3, "mean utilization {utilization}");
+    // …and the fallback really runs: each dispatcher's first choice blew
+    // its budget on at least 5 % of arrivals.
+    for (name, failed) in [
+        ("thermal-aware", scan.first_choice_failed),
+        ("planned", planned_sorted.first_choice_failed),
+    ] {
+        assert!(
+            failed * 20 >= jobs_n,
+            "{name}: first choice failed on only {failed} of {jobs_n} arrivals"
+        );
     }
 }

@@ -222,7 +222,8 @@ proptest! {
 proptest! {
     /// Drive the kernel's dispatch index (occupied set, idle groups) and
     /// the legacy full-fleet rescore through the same random interleaving
-    /// of placements, expiries and set-point changes: every placement
+    /// of placements (zero wait budgets included), expiries, set-point
+    /// changes and active-prefix resizes: every placement
     /// decision must be bit-identical. The incremental dispatcher keeps
     /// its signature slabs and COP cache warm across the whole
     /// interleaving while the rescore dispatcher starts cold each call —
@@ -278,10 +279,22 @@ proptest! {
                         .with_ambient(Celsius::new(40.0 + unit(seed, 3 * i) * 25.0));
                     chiller_epoch += 1;
                 }
+                2 => {
+                    // Shrink or grow the active prefix, as the autoscaler
+                    // does: between one rack and the whole fleet.
+                    servers.set_active_servers(((r >> 8) % 9) as usize);
+                }
                 _ => {
                     let sig = ((r >> 8) % 3) as usize;
                     let runtime = 10.0 + unit(seed, 3 * i + 1) * 50.0;
-                    let budget = unit(seed, 3 * i + 2) * 30.0;
+                    // A quarter of the arrivals carry a zero budget, the
+                    // floor `Job::wait_budget` can reach: only a free
+                    // server is feasible.
+                    let budget = if (r >> 16) % 4 == 0 {
+                        0.0
+                    } else {
+                        unit(seed, 3 * i + 2) * 30.0
+                    };
                     let classes: Vec<ClassDemand> = sig_states[sig]
                         .iter()
                         .map(|s| ClassDemand {

@@ -2,7 +2,7 @@
 //! input must come back with an actionable message and, where a line
 //! exists, the right line number.
 
-use tps_scenario::{Scenario, SpecError, Sweep};
+use tps_scenario::{Scenario, SpecError, Sweep, SweepError};
 
 fn fail_scenario(src: &str) -> SpecError {
     Scenario::parse(src, "t").expect_err("spec should be rejected")
@@ -395,4 +395,40 @@ fn the_removed_shards_key_is_an_unknown_key() {
     let e = fail_scenario("[fleet]\nshards = 2\n");
     assert_eq!(e.line, Some(2));
     assert!(e.message.contains("unknown key `shards`"), "{e}");
+}
+
+#[test]
+fn a_cadence_past_the_event_budget_is_rejected_with_its_line() {
+    fn run_err(src: &str) -> SpecError {
+        match Sweep::parse(src, "t").unwrap().run(1) {
+            Err(SweepError::Spec(e)) => e,
+            other => panic!("expected a spec error, got {other:?}"),
+        }
+    }
+    let base = "[fleet]\nracks = 2\nservers_per_rack = 8\n[workload]\njobs = 20\n";
+
+    let e = run_err(&format!(
+        "{base}[control]\npolicy = \"shed\"\ntick_s = 1e-9\n"
+    ));
+    assert_eq!(e.line, Some(8), "{e}");
+    assert!(
+        e.message.contains("[control] tick_s: a 1e-9 s cadence"),
+        "{e}"
+    );
+    assert!(e.message.contains("per job"), "{e}");
+
+    let e = run_err(&format!("{base}[telemetry]\nsample_s = 1e-9\n"));
+    assert_eq!(e.line, Some(7), "{e}");
+    assert!(
+        e.message.contains("[telemetry] sample_s: a 1e-9 s cadence"),
+        "{e}"
+    );
+
+    // A swept cadence names its grid point and the axis line.
+    let e = run_err(&format!(
+        "{base}[control]\npolicy = \"shed\"\n[sweep]\ncontrol.tick_s = [30.0, 1e-9]\n"
+    ));
+    assert_eq!(e.line, Some(9), "{e}");
+    assert!(e.message.contains("grid point `control.tick_s="), "{e}");
+    assert!(e.message.contains("[control] tick_s"), "{e}");
 }

@@ -305,6 +305,47 @@ pub fn check_time_resolution(
     Ok(())
 }
 
+/// The most periodic events — control ticks or telemetry samples — one
+/// cadence may schedule per job of the stream.
+const CADENCE_EVENTS_PER_JOB: f64 = 10_000.0;
+
+/// Rejects a periodic cadence (a control tick or telemetry sample
+/// interval) that would schedule more than 10 000 events per job over the
+/// stream's horizon. `ends` holds each job's arrival plus native service
+/// time: their count is the job count and their latest the horizon.
+///
+/// ```
+/// use tps_units::Seconds;
+/// use tps_workload::check_cadence;
+///
+/// let ends = [Seconds::new(60.0), Seconds::new(90.0)];
+/// assert!(check_cadence(Seconds::new(30.0), ends).is_ok());
+/// let e = check_cadence(Seconds::new(1e-9), ends).unwrap_err();
+/// assert!(e.contains("per job"));
+/// ```
+///
+/// # Errors
+///
+/// Returns a message naming the event count, the horizon and the budget
+/// when the cadence exceeds it.
+pub fn check_cadence(
+    cadence: Seconds,
+    ends: impl IntoIterator<Item = Seconds>,
+) -> Result<(), String> {
+    let (jobs, horizon) = ends
+        .into_iter()
+        .fold((0usize, 0.0f64), |(n, h), t| (n + 1, h.max(t.value())));
+    let events = horizon / cadence.value();
+    if events > CADENCE_EVENTS_PER_JOB * jobs as f64 {
+        return Err(format!(
+            "a {:e} s cadence schedules {events:.3e} events over the stream's {horizon:.3e} s \
+             horizon, more than {CADENCE_EVENTS_PER_JOB} per job for {jobs} jobs; raise it",
+            cadence.value()
+        ));
+    }
+    Ok(())
+}
+
 /// The online-serving demand shape: a diurnal day/night cycle multiplied
 /// by flash-crowd surges — during a seed-determined burst window in each
 /// slot (one window per `surge_gap + surge_duration` of simulated time)

@@ -38,9 +38,9 @@ mod trace;
 pub use benchmark::Benchmark;
 pub use config::{ConfigError, WorkloadConfig};
 pub use demand::{
-    arrival_source, check_time_resolution, request_stream, synthesize_arrivals, ArrivalSource,
-    BurstyDemand, ConstantDemand, DemandModel, DiurnalDemand, Request, RequestStream,
-    ServingDemand,
+    arrival_source, check_cadence, check_time_resolution, request_stream, synthesize_arrivals,
+    ArrivalSource, BurstyDemand, ConstantDemand, DemandModel, DiurnalDemand, Request,
+    RequestStream, ServingDemand,
 };
 pub use exec::BenchProfile;
 pub use profiler::{profile_application, profile_config, ConfigProfile};

@@ -34,8 +34,8 @@ use tps::power::CState;
 use tps::scenario::Sweep;
 use tps::units::{Celsius, Seconds};
 use tps::workload::{
-    check_time_resolution, profile_application, Benchmark, BurstyDemand, ConstantDemand,
-    DiurnalDemand, QosClass, ServingDemand,
+    check_cadence, check_time_resolution, profile_application, Benchmark, BurstyDemand,
+    ConstantDemand, DiurnalDemand, QosClass, ServingDemand,
 };
 
 fn main() -> ExitCode {
@@ -679,6 +679,20 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
     };
     if let Err(e) = check_time_resolution(jobs.iter().map(|j| j.arrival), a.rate) {
         return fail(format!("--{e}"));
+    }
+    let tick = match a.control {
+        ControlSpec::Shed { tick }
+        | ControlSpec::Autoscale { tick }
+        | ControlSpec::Planner { tick, .. } => Some(tick),
+        ControlSpec::Static | ControlSpec::Setpoint(_) => None,
+    };
+    let sample = a.trace_out.is_some().then_some(a.sample);
+    for (flag, cadence) in [("tick", tick), ("sample", sample)] {
+        let Some(cadence) = cadence else { continue };
+        let ends = jobs.iter().map(|j| j.arrival + j.service);
+        if let Err(e) = check_cadence(Seconds::new(cadence), ends) {
+            return fail(format!("--{flag}: {e}"));
+        }
     }
 
     let mut dispatchers: Vec<Box<dyn FleetDispatcher>> = Vec::new();

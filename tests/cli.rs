@@ -72,3 +72,21 @@ fn the_shards_flag_is_gone() {
     assert_eq!(code, Some(1), "{err}");
     assert!(err.contains("unknown flag `--shards`"), "{err}");
 }
+
+#[test]
+fn a_cadence_past_the_event_budget_exits_1_naming_the_flag() {
+    // A nanosecond control tick or telemetry sample would schedule about
+    // 1e11 events for 20 jobs — a run that never finishes.
+    for args in [
+        &["--control", "shed", "--tick", "1e-9"][..],
+        &["--trace-out", "target/cadence-trace", "--sample", "1e-9"],
+    ] {
+        let (code, err) = tps_fleet(&[&["--servers", "16", "--jobs", "20"], args].concat());
+        assert_eq!(code, Some(1), "tps fleet {args:?}: {err}");
+        assert!(
+            err.contains(&format!("{}: a 1e-9 s cadence", args[args.len() - 2])),
+            "{err}"
+        );
+        assert!(err.contains("per job"), "{err}");
+    }
+}
