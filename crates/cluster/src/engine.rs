@@ -49,10 +49,17 @@ use tps_workload::{Benchmark, QosClass};
 /// large enough to keep the calendar queue's buckets well fed.
 pub const ARRIVAL_LOOKAHEAD: usize = 1024;
 
-/// Minimum fleet size (racks) before a telemetry sample fans its per-rack
-/// cooling pass out to worker threads: below this the per-sample scoped
-/// spawn costs more than the arithmetic it parallelizes.
+/// Fewest racks a telemetry sample hands one cooling worker thread:
+/// below this the per-sample scoped spawn costs more than the arithmetic
+/// it parallelizes.
 const THREADED_COOLING_MIN_RACKS: usize = 1024;
+
+/// Worker threads for one telemetry sample's per-rack cooling pass: the
+/// thread budget, capped so each worker gets at least
+/// `THREADED_COOLING_MIN_RACKS` racks (1 means the pass runs inline).
+fn cooling_workers(threads: usize, racks: usize) -> usize {
+    threads.min(racks / THREADED_COOLING_MIN_RACKS).max(1)
+}
 
 /// A typed simulation event.
 ///
@@ -1080,9 +1087,9 @@ fn sample(
     // The thread budget is shared with sweep workers (see
     // `thread_budget`).
     let mut rack_cooling = vec![0.0f64; views.len()];
-    let workers = config.threads.max(1);
+    let workers = cooling_workers(config.threads, views.len());
     let chiller = &state.chiller;
-    if workers > 1 && views.len() >= THREADED_COOLING_MIN_RACKS {
+    if workers > 1 {
         let per = views.len().div_ceil(workers);
         std::thread::scope(|s| {
             for (v, c) in views.chunks(per).zip(rack_cooling.chunks_mut(per)) {
@@ -1123,6 +1130,21 @@ fn sample(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cooling_workers_get_at_least_the_minimum_racks_each() {
+        let min = THREADED_COOLING_MIN_RACKS;
+        // A huge thread budget on a big fleet: capped by the racks.
+        assert_eq!(cooling_workers(1_000_000, 12_500), 12);
+        assert_eq!(cooling_workers(usize::MAX, 12_500), 12_500 / min);
+        // A small budget is spent in full once each worker has its share.
+        assert_eq!(cooling_workers(2, 12_500), 2);
+        assert_eq!(cooling_workers(8, 8 * min), 8);
+        // Below two workers' worth of racks the pass runs inline.
+        assert_eq!(cooling_workers(8, 2 * min - 1), 1);
+        assert_eq!(cooling_workers(8, 0), 1);
+        assert_eq!(cooling_workers(0, 12_500), 1);
+    }
 
     #[test]
     fn queue_orders_by_time_then_class_then_push_order() {

@@ -7,13 +7,14 @@
 //! then hand the job stream, dispatcher, control policy and telemetry
 //! settings to the sequential event loop.
 
-use crate::cache::{ClassSolve, OutcomeCache};
+use crate::cache::{ClassSolve, OutcomeCache, SolveTable};
 use crate::catalog::{ClassId, FleetCatalog};
 use crate::control::{ControlPolicy, StaticControl};
 use crate::dispatch::FleetDispatcher;
 use crate::engine;
 use crate::job::Job;
 use crate::metrics::{FleetOutcome, SimResult, TelemetryConfig};
+use std::sync::Arc;
 use tps_cooling::Chiller;
 use tps_core::{
     CoskunBalancing, InletFirstMapping, MappingPolicy, MinPowerSelector, PackedMapping,
@@ -323,6 +324,34 @@ impl Fleet {
             .map(|r| r.outcome)
     }
 
+    /// The synchronization point before a run: publishes a table epoch
+    /// covering `jobs` (solving only the missing keys, in parallel), or
+    /// warms the mutex map on the oracle path. Either way the work is one
+    /// solve per distinct (class, bench, qos).
+    fn prepare(
+        &self,
+        jobs: &[Job],
+        cache: &OutcomeCache,
+    ) -> Result<Option<Arc<SolveTable>>, RunError> {
+        let mut pairs: Vec<(Benchmark, QosClass)> = jobs.iter().map(|j| (j.bench, j.qos)).collect();
+        pairs.sort();
+        pairs.dedup();
+        if !self.config.solve_table {
+            self.warm(&pairs, cache, self.config.threads)?;
+            return Ok(None);
+        }
+        let solvers = self.class_solvers();
+        cache
+            .ensure_published(
+                &solvers,
+                &pairs,
+                &MinPowerSelector,
+                self.config.t_case_max,
+                self.config.threads,
+            )
+            .map(Some)
+    }
+
     /// Runs `jobs` through the event kernel under `dispatcher` and
     /// `control`, optionally sampling telemetry.
     ///
@@ -344,27 +373,7 @@ impl Fleet {
         telemetry: Option<&TelemetryConfig>,
         cache: &OutcomeCache,
     ) -> Result<SimResult, RunError> {
-        // Synchronization point: make sure a covering table epoch is
-        // published (solving only the missing keys, in parallel), or warm
-        // the mutex map on the oracle path. Either way the work is one
-        // solve per distinct (class, bench, qos).
-        let mut pairs: Vec<(Benchmark, QosClass)> = jobs.iter().map(|j| (j.bench, j.qos)).collect();
-        pairs.sort();
-        pairs.dedup();
-        let table = if self.config.solve_table {
-            let solvers = self.class_solvers();
-            Some(cache.ensure_published(
-                &solvers,
-                &pairs,
-                &MinPowerSelector,
-                self.config.t_case_max,
-                self.config.threads,
-            )?)
-        } else {
-            self.warm(&pairs, cache, self.config.threads)?;
-            None
-        };
-
+        let table = self.prepare(jobs, cache)?;
         // Sequential phase: the deterministic event loop, reading the
         // frozen epoch lock-free (or the mutex map on the oracle path).
         engine::run(
@@ -398,22 +407,7 @@ impl Fleet {
         telemetry: Option<&TelemetryConfig>,
         cache: &OutcomeCache,
     ) -> Result<SimResult, RunError> {
-        let mut pairs: Vec<(Benchmark, QosClass)> = jobs.iter().map(|j| (j.bench, j.qos)).collect();
-        pairs.sort();
-        pairs.dedup();
-        let table = if self.config.solve_table {
-            let solvers = self.class_solvers();
-            Some(cache.ensure_published(
-                &solvers,
-                &pairs,
-                &MinPowerSelector,
-                self.config.t_case_max,
-                self.config.threads,
-            )?)
-        } else {
-            self.warm(&pairs, cache, self.config.threads)?;
-            None
-        };
+        let table = self.prepare(jobs, cache)?;
         engine::run_with_heap(
             self,
             jobs,

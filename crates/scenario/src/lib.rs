@@ -58,7 +58,7 @@ pub mod toml;
 
 pub use report::{ClassRow, ServingRow, SweepReport, SweepRow};
 pub use spec::{
-    ClassSpec, ControlKind, DemandKind, DispatcherKind, Scenario, ServingSpec, SpecError,
-    TelemetrySpec,
+    policy_from_name, solver_from_name, ClassSpec, ControlKind, DemandKind, DispatcherKind,
+    FieldError, FieldNamer, Scenario, ServingSpec, SpecError, TelemetrySpec,
 };
 pub use sweep::{Axis, Sweep, SweepError};

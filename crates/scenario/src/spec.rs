@@ -16,7 +16,10 @@ use tps_cluster::{
 use tps_cooling::Chiller;
 use tps_core::check_grid_pitch;
 use tps_units::{Celsius, Seconds};
-use tps_workload::{BurstyDemand, ConstantDemand, DiurnalDemand, ServingDemand};
+use tps_workload::{
+    check_cadence, check_time_resolution, BurstyDemand, ConstantDemand, DiurnalDemand,
+    ServingDemand,
+};
 
 /// A schema violation: what is wrong, and on which line of the spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,8 +108,17 @@ pub enum DemandKind {
 }
 
 impl DemandKind {
+    /// The spec-file spelling.
+    pub fn spec_name(&self) -> &'static str {
+        match self {
+            DemandKind::Constant { .. } => "constant",
+            DemandKind::Diurnal { .. } => "diurnal",
+            DemandKind::Bursty { .. } => "bursty",
+        }
+    }
+
     /// The spec's `workload.rate`: the constant, peak or burst rate.
-    pub(crate) fn rate(&self) -> f64 {
+    pub fn rate(&self) -> f64 {
         match *self {
             DemandKind::Constant { rate }
             | DemandKind::Diurnal { rate, .. }
@@ -132,6 +144,23 @@ pub enum DispatcherKind {
 }
 
 impl DispatcherKind {
+    /// The dispatcher a `dispatch.dispatcher` spelling names.
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown dispatcher and the valid spellings.
+    pub fn from_spec_name(name: &str) -> Result<Self, String> {
+        match name {
+            "rr" => Ok(DispatcherKind::RoundRobin),
+            "coolest" => Ok(DispatcherKind::CoolestRackFirst),
+            "thermal" => Ok(DispatcherKind::ThermalAware),
+            "planned" => Ok(DispatcherKind::Planned),
+            other => Err(format!(
+                "unknown dispatcher `{other}` (use rr, coolest, thermal or planned)"
+            )),
+        }
+    }
+
     /// The dispatcher instance (all four are stateless or cheaply
     /// default-initialized).
     pub fn instantiate(self) -> Box<dyn FleetDispatcher> {
@@ -214,6 +243,16 @@ pub enum ControlKind {
 }
 
 impl ControlKind {
+    /// The control-tick cadence, seconds, of a ticking policy.
+    fn tick_s(&self) -> Option<f64> {
+        match *self {
+            ControlKind::Shed { tick_s, .. }
+            | ControlKind::Autoscale { tick_s, .. }
+            | ControlKind::Planner { tick_s, .. } => Some(tick_s),
+            ControlKind::Static | ControlKind::Setpoint { .. } => None,
+        }
+    }
+
     /// A fresh policy instance for one simulation run (policies can be
     /// stateful, so every grid point gets its own).
     pub fn instantiate(&self) -> Box<dyn ControlPolicy> {
@@ -476,22 +515,10 @@ impl Scenario {
         ])?;
         let racks = fleet.count("racks", 2)?;
         let servers_per_rack = fleet.count("servers_per_rack", 8)?;
-        let grid_pitch_mm = fleet.positive_f64("grid_pitch_mm", 2.0)?;
-        check_grid_pitch(grid_pitch_mm).map_err(|e| fleet.value_error("grid_pitch_mm", e))?;
-        let policy = match policy_from_name(&fleet.string("policy", "proposed")?) {
-            Some(p) => p,
-            None => {
-                let other = fleet.string("policy", "proposed")?;
-                return Err(fleet.value_error(
-                    "policy",
-                    format!("unknown policy `{other}` (use proposed, coskun, inlet or packed)"),
-                ));
-            }
-        };
-        let threads = match fleet.count_opt("threads")? {
-            Some(n) => n,
-            None => FleetConfig::default_threads(),
-        };
+        let grid_pitch_mm = fleet.f64("grid_pitch_mm", 2.0)?;
+        let policy = policy_from_name(&fleet.string("policy", "proposed")?)
+            .map_err(|e| fleet.value_error("policy", e))?;
+        let threads = fleet.count("threads", FleetConfig::default_threads())?;
 
         let classes = parse_server_classes(doc)?;
         let rack_classes = parse_rack_classes(&fleet, doc, racks, &classes)?;
@@ -500,12 +527,6 @@ impl Scenario {
         cooling.allow(&["heat_reuse_c", "water_inlet_c"])?;
         let heat_reuse_c = cooling.f64("heat_reuse_c", 70.0)?;
         let water_inlet_c = cooling.f64("water_inlet_c", 30.0)?;
-        if !(5.0..=60.0).contains(&water_inlet_c) {
-            return Err(cooling.value_error(
-                "water_inlet_c",
-                format!("water inlet {water_inlet_c} °C outside the 5..=60 °C chiller envelope"),
-            ));
-        }
 
         let workload = root.table("workload")?;
         workload.allow(&[
@@ -559,14 +580,7 @@ impl Scenario {
                 ));
             }
         }
-        let rate = workload.positive_f64("rate", 0.7)?;
-        let base_fraction = workload.f64("base_fraction", 0.2)?;
-        if !(0.0..=1.0).contains(&base_fraction) {
-            return Err(workload.value_error(
-                "base_fraction",
-                format!("base_fraction {base_fraction} must lie in [0, 1]"),
-            ));
-        }
+        let rate = workload.f64("rate", 0.7)?;
         let demand_name = workload.string("demand", "diurnal")?;
         // Demand-specific keys must apply to some *reachable* model —
         // the selected one, or one a `workload.demand` sweep axis can
@@ -592,18 +606,19 @@ impl Scenario {
                 ));
             }
         }
+        let base_fraction = workload.f64("base_fraction", 0.2)?;
         let demand = match demand_name.as_str() {
             "constant" => DemandKind::Constant { rate },
             "diurnal" => DemandKind::Diurnal {
                 rate,
                 base_fraction,
-                period_s: workload.positive_f64("period_s", 600.0)?,
+                period_s: workload.f64("period_s", 600.0)?,
             },
             "bursty" => DemandKind::Bursty {
                 rate,
                 base_fraction,
-                burst_s: workload.positive_f64("burst_s", 60.0)?,
-                gap_s: workload.positive_f64("gap_s", 240.0)?,
+                burst_s: workload.f64("burst_s", 60.0)?,
+                gap_s: workload.f64("gap_s", 240.0)?,
             },
             other => {
                 return Err(workload.value_error(
@@ -612,39 +627,21 @@ impl Scenario {
                 ))
             }
         };
-        let serving = if mode == "serving" {
-            let surge = workload.f64("surge", 2.5)?;
-            if !(surge >= 1.0 && surge.is_finite()) {
-                return Err(workload.value_error(
-                    "surge",
-                    format!("`surge` must be a finite multiplier of at least 1, got {surge}"),
-                ));
-            }
-            Some(ServingSpec {
-                surge,
-                surge_s: workload.positive_f64("surge_s", 60.0)?,
-                surge_gap_s: workload.positive_f64("surge_gap_s", 420.0)?,
-            })
-        } else {
-            None
+        let serving = match mode.as_str() {
+            "serving" => Some(ServingSpec {
+                surge: workload.f64("surge", 2.5)?,
+                surge_s: workload.f64("surge_s", 60.0)?,
+                surge_gap_s: workload.f64("surge_gap_s", 420.0)?,
+            }),
+            _ => None,
         };
-        let mean_service_s = workload.positive_f64("mean_service_s", 40.0)?;
+        let mean_service_s = workload.f64("mean_service_s", 40.0)?;
         let qos_weights = workload.weights3("qos_weights", [0.2, 0.4, 0.4])?;
 
         let dispatch = root.table("dispatch")?;
         dispatch.allow(&["dispatcher"])?;
-        let dispatcher = match dispatch.string("dispatcher", "thermal")?.as_str() {
-            "rr" => DispatcherKind::RoundRobin,
-            "coolest" => DispatcherKind::CoolestRackFirst,
-            "thermal" => DispatcherKind::ThermalAware,
-            "planned" => DispatcherKind::Planned,
-            other => {
-                return Err(dispatch.value_error(
-                    "dispatcher",
-                    format!("unknown dispatcher `{other}` (use rr, coolest, thermal or planned)"),
-                ))
-            }
-        };
+        let dispatcher = DispatcherKind::from_spec_name(&dispatch.string("dispatcher", "thermal")?)
+            .map_err(|e| dispatch.value_error("dispatcher", e))?;
 
         let control_tbl = root.table("control")?;
         control_tbl.allow(&[
@@ -701,93 +698,26 @@ impl Scenario {
                 ));
             }
         }
+        let array = |key: &str, what: &str| -> Result<Vec<f64>, SpecError> {
+            control_tbl.f64_array(key)?.ok_or_else(|| {
+                control_tbl.value_error(
+                    "policy",
+                    format!("the {control_name} policy needs a `{key}` array of {what}"),
+                )
+            })
+        };
+        let tick_s = |default| control_tbl.f64("tick_s", default);
         let control = match control_name.as_str() {
             "static" => ControlKind::Static,
-            "setpoint" => {
-                let times_s = control_tbl.f64_array("times_s")?.ok_or_else(|| {
-                    control_tbl.value_error(
-                        "policy",
-                        "the setpoint policy needs a `times_s` array of change instants".to_owned(),
-                    )
-                })?;
-                let setpoints_c = control_tbl.f64_array("setpoints_c")?.ok_or_else(|| {
-                    control_tbl.value_error(
-                        "policy",
-                        "the setpoint policy needs a `setpoints_c` array of temperatures"
-                            .to_owned(),
-                    )
-                })?;
-                if times_s.is_empty() || times_s.len() != setpoints_c.len() {
-                    return Err(control_tbl.value_error(
-                        "times_s",
-                        format!(
-                            "`times_s` ({}) and `setpoints_c` ({}) must be non-empty arrays of \
-                             equal length",
-                            times_s.len(),
-                            setpoints_c.len()
-                        ),
-                    ));
-                }
-                for (i, &t) in times_s.iter().enumerate() {
-                    if !(t >= 0.0 && t.is_finite()) {
-                        return Err(control_tbl.value_error(
-                            "times_s",
-                            format!("set-point time {t} must be non-negative and finite"),
-                        ));
-                    }
-                    if i > 0 && times_s[i - 1] >= t {
-                        return Err(control_tbl.value_error(
-                            "times_s",
-                            format!(
-                                "`times_s` must be strictly ascending ({} then {t})",
-                                times_s[i - 1]
-                            ),
-                        ));
-                    }
-                }
-                if let Some(&bad) = setpoints_c.iter().find(|c| !c.is_finite()) {
-                    return Err(control_tbl
-                        .value_error("setpoints_c", format!("set-point {bad} °C must be finite")));
-                }
-                let floor = Celsius::ABSOLUTE_ZERO.value();
-                if let Some(&bad) = setpoints_c.iter().find(|&&c| c < floor) {
-                    return Err(control_tbl.value_error(
-                        "setpoints_c",
-                        format!("set-point {bad} °C is below absolute zero ({floor} °C)"),
-                    ));
-                }
-                ControlKind::Setpoint {
-                    times_s,
-                    setpoints_c,
-                }
-            }
-            "shed" => {
-                let tick_s = control_tbl.positive_f64("tick_s", 60.0)?;
-                let high_watermark = control_tbl.count("high_watermark", 8)?;
-                let low_watermark = match control_tbl.u64("low_watermark", 2)? {
-                    n if n <= usize::MAX as u64 => n as usize,
-                    n => {
-                        return Err(control_tbl.value_error(
-                            "low_watermark",
-                            format!("`low_watermark` {n} overflows"),
-                        ))
-                    }
-                };
-                if low_watermark >= high_watermark {
-                    return Err(control_tbl.value_error(
-                        "low_watermark",
-                        format!(
-                            "need low_watermark < high_watermark for hysteresis \
-                             (got {low_watermark} ≥ {high_watermark})"
-                        ),
-                    ));
-                }
-                ControlKind::Shed {
-                    tick_s,
-                    high_watermark,
-                    low_watermark,
-                }
-            }
+            "setpoint" => ControlKind::Setpoint {
+                times_s: array("times_s", "change instants")?,
+                setpoints_c: array("setpoints_c", "temperatures")?,
+            },
+            "shed" => ControlKind::Shed {
+                tick_s: tick_s(60.0)?,
+                high_watermark: control_tbl.count("high_watermark", 8)?,
+                low_watermark: control_tbl.count("low_watermark", 2)?,
+            },
             "autoscale" => {
                 if serving.is_none() && !swept.modes.iter().any(|m| m == "serving") {
                     return Err(control_tbl.value_error(
@@ -797,74 +727,24 @@ impl Scenario {
                             .to_owned(),
                     ));
                 }
-                let tick_s = control_tbl.positive_f64("tick_s", 30.0)?;
-                let min_servers = control_tbl.count("min_servers", 1)?;
-                let step_servers = control_tbl.count("step_servers", 1)?;
-                let queue_high = control_tbl.positive_f64("queue_high", 2.0)?;
-                let queue_low = control_tbl.f64("queue_low", 0.25)?;
-                if !(queue_low >= 0.0 && queue_low < queue_high) {
-                    return Err(control_tbl.value_error(
-                        "queue_low",
-                        format!(
-                            "need 0 <= queue_low < queue_high for hysteresis \
-                             (got {queue_low} vs {queue_high})"
-                        ),
-                    ));
-                }
-                let p99_slo_s = control_tbl.positive_f64("p99_slo_s", 10.0)?;
                 ControlKind::Autoscale {
-                    tick_s,
-                    min_servers,
-                    step_servers,
-                    queue_high,
-                    queue_low,
-                    p99_slo_s,
+                    tick_s: tick_s(30.0)?,
+                    min_servers: control_tbl.count("min_servers", 1)?,
+                    step_servers: control_tbl.count("step_servers", 1)?,
+                    queue_high: control_tbl.f64("queue_high", 2.0)?,
+                    queue_low: control_tbl.f64("queue_low", 0.25)?,
+                    p99_slo_s: control_tbl.f64("p99_slo_s", 10.0)?,
                 }
             }
-            "planner" => {
-                let tick_s = control_tbl.positive_f64("tick_s", 30.0)?;
-                let horizon_s = control_tbl.positive_f64("horizon_s", 120.0)?;
-                let replan_ticks = control_tbl.count("replan_ticks", 1)?;
-                let setpoint_grid = control_tbl.f64_array("setpoint_grid")?.ok_or_else(|| {
-                    control_tbl.value_error(
-                        "policy",
-                        "the planner policy needs a `setpoint_grid` array of candidate \
-                         set-points (°C)"
-                            .to_owned(),
-                    )
-                })?;
-                if setpoint_grid.is_empty() {
-                    return Err(control_tbl.value_error(
-                        "setpoint_grid",
-                        "`setpoint_grid` must list at least one candidate set-point".to_owned(),
-                    ));
-                }
-                if let Some(&bad) = setpoint_grid.iter().find(|c| !c.is_finite()) {
-                    return Err(control_tbl.value_error(
-                        "setpoint_grid",
-                        format!("set-point {bad} °C must be finite"),
-                    ));
-                }
-                let anneal_iters = control_tbl.count("anneal_iters", 2_000)?;
-                let solver = match control_tbl.string("solver", "lp")?.as_str() {
-                    "lp" => PlanSolver::Lp,
-                    "anneal" => PlanSolver::Anneal,
-                    other => {
-                        return Err(control_tbl.value_error(
-                            "solver",
-                            format!("unknown planner solver `{other}` (use lp or anneal)"),
-                        ))
-                    }
-                };
-                ControlKind::Planner {
-                    tick_s,
-                    horizon_s,
-                    replan_ticks,
-                    setpoint_grid,
-                    anneal_iters,
-                    solver,
-                }
-            }
+            "planner" => ControlKind::Planner {
+                tick_s: tick_s(30.0)?,
+                horizon_s: control_tbl.f64("horizon_s", 120.0)?,
+                replan_ticks: control_tbl.count("replan_ticks", 1)?,
+                setpoint_grid: array("setpoint_grid", "candidate set-points (°C)")?,
+                anneal_iters: control_tbl.count("anneal_iters", 2_000)?,
+                solver: solver_from_name(&control_tbl.string("solver", "lp")?)
+                    .map_err(|e| control_tbl.value_error("solver", e))?,
+            },
             other => {
                 return Err(control_tbl.value_error(
                     "policy",
@@ -880,14 +760,14 @@ impl Scenario {
             let tel = root.table("telemetry")?;
             tel.allow(&["sample_s", "capacity"])?;
             Some(TelemetrySpec {
-                sample_s: tel.positive_f64("sample_s", 30.0)?,
+                sample_s: tel.f64("sample_s", 30.0)?,
                 capacity: tel.count("capacity", 16_384)?,
             })
         } else {
             None
         };
 
-        Ok(Self {
+        let scenario = Self {
             name,
             racks,
             servers_per_rack,
@@ -907,7 +787,204 @@ impl Scenario {
             telemetry,
             classes,
             rack_classes,
-        })
+        };
+        scenario.validate(&spec_field_name).map_err(|e| SpecError {
+            line: field_line(doc, e.path, e.class),
+            message: e.message,
+        })?;
+        Ok(scenario)
+    }
+
+    /// Checks every value against its domain: the one validation pass
+    /// behind both front ends, spec keys and `tps fleet` flags. Syntax,
+    /// types and which keys go together stay with the front ends. `name`
+    /// spells a dotted schema path (`workload.rate`) as the front end
+    /// shows it (`[workload] rate`, `--rate`).
+    ///
+    /// # Errors
+    ///
+    /// The first field outside its domain, in schema order.
+    pub fn validate(&self, name: FieldNamer<'_>) -> Result<(), FieldError> {
+        let v = Domain(name);
+        v.count("fleet.racks", self.racks)?;
+        v.count("fleet.servers_per_rack", self.servers_per_rack)?;
+        v.grid_pitch("fleet.grid_pitch_mm", self.grid_pitch_mm)?;
+        v.count("fleet.threads", self.threads)?;
+        for (i, class) in self.classes.iter().enumerate() {
+            let in_class = |e| FieldError {
+                class: Some(i),
+                ..e
+            };
+            if let Some(mm) = class.grid_pitch_mm {
+                v.grid_pitch("server_class.grid_pitch_mm", mm)
+                    .map_err(in_class)?;
+            }
+            if let Some(c) = class.water_inlet_c {
+                v.water_inlet("server_class.water_inlet_c", c)
+                    .map_err(in_class)?;
+            }
+        }
+        v.temperature("cooling.heat_reuse_c", self.heat_reuse_c)?;
+        v.water_inlet("cooling.water_inlet_c", self.water_inlet_c)?;
+        v.count("workload.jobs", self.jobs)?;
+        v.positive("workload.rate", self.demand.rate())?;
+        let fraction = |x: f64| {
+            v.check((0.0..=1.0).contains(&x), "workload.base_fraction", |f| {
+                format!("{f} {x} must lie in [0, 1]")
+            })
+        };
+        match self.demand {
+            DemandKind::Constant { .. } => {}
+            DemandKind::Diurnal {
+                base_fraction,
+                period_s,
+                ..
+            } => {
+                fraction(base_fraction)?;
+                v.positive("workload.period_s", period_s)?;
+            }
+            DemandKind::Bursty {
+                base_fraction,
+                burst_s,
+                gap_s,
+                ..
+            } => {
+                fraction(base_fraction)?;
+                v.positive("workload.burst_s", burst_s)?;
+                v.positive("workload.gap_s", gap_s)?;
+            }
+        }
+        if let Some(sv) = self.serving {
+            let surge = sv.surge;
+            v.check(surge >= 1.0 && surge.is_finite(), "workload.surge", |f| {
+                format!("{f} must be a finite multiplier of at least 1, got {surge}")
+            })?;
+            v.positive("workload.surge_s", sv.surge_s)?;
+            v.positive("workload.surge_gap_s", sv.surge_gap_s)?;
+        }
+        v.positive("workload.mean_service_s", self.mean_service_s)?;
+
+        if let Some(tick_s) = self.control.tick_s() {
+            v.positive("control.tick_s", tick_s)?;
+        }
+        match self.control {
+            ControlKind::Static => {}
+            ControlKind::Setpoint {
+                ref times_s,
+                ref setpoints_c,
+            } => {
+                let (times, n) = ("control.times_s", times_s.len());
+                v.check(n > 0 && n == setpoints_c.len(), times, |f| {
+                    format!(
+                        "{f} ({n}) and {} ({}) must be non-empty and of equal length",
+                        name("control.setpoints_c"),
+                        setpoints_c.len()
+                    )
+                })?;
+                for &t in times_s {
+                    v.check(t >= 0.0 && t.is_finite(), times, |f| {
+                        format!("{f} time {t} s must be non-negative and finite")
+                    })?;
+                }
+                for w in times_s.windows(2) {
+                    let (a, b) = (w[0], w[1]);
+                    v.check(a < b, times, |f| {
+                        format!("{f} times must be strictly ascending ({a} then {b})")
+                    })?;
+                }
+                for &c in setpoints_c {
+                    v.temperature("control.setpoints_c", c)?;
+                }
+            }
+            ControlKind::Shed {
+                high_watermark: high,
+                low_watermark: low,
+                ..
+            } => {
+                v.count("control.high_watermark", high)?;
+                v.check(low < high, "control.low_watermark", |f| {
+                    format!(
+                        "{f} must stay below the high watermark for hysteresis ({low} ≥ {high})"
+                    )
+                })?;
+            }
+            ControlKind::Autoscale {
+                min_servers,
+                step_servers,
+                queue_high: high,
+                queue_low: low,
+                p99_slo_s,
+                ..
+            } => {
+                v.count("control.min_servers", min_servers)?;
+                v.count("control.step_servers", step_servers)?;
+                v.positive("control.queue_high", high)?;
+                v.check((0.0..high).contains(&low), "control.queue_low", |f| {
+                    format!("{f} must lie in [0, queue_high) for hysteresis ({low} vs {high})")
+                })?;
+                v.positive("control.p99_slo_s", p99_slo_s)?;
+            }
+            ControlKind::Planner {
+                horizon_s,
+                replan_ticks,
+                ref setpoint_grid,
+                anneal_iters,
+                ..
+            } => {
+                v.positive("control.horizon_s", horizon_s)?;
+                v.count("control.replan_ticks", replan_ticks)?;
+                v.check(!setpoint_grid.is_empty(), "control.setpoint_grid", |f| {
+                    format!("{f} must list at least one candidate set-point")
+                })?;
+                for &c in setpoint_grid {
+                    v.temperature("control.setpoint_grid", c)?;
+                }
+                v.count("control.anneal_iters", anneal_iters)?;
+            }
+        }
+        if let Some(t) = self.telemetry {
+            v.positive("telemetry.sample_s", t.sample_s)?;
+            v.count("telemetry.capacity", t.capacity)?;
+        }
+        Ok(())
+    }
+
+    /// The checks that need the synthesized job stream: its time
+    /// resolution at the scenario's rate ([`check_time_resolution`]) and
+    /// the control-tick and telemetry cadence budgets
+    /// ([`check_cadence`]). `traced` says a trace is collected (at the
+    /// default cadence without a `[telemetry]` table); `name` is as in
+    /// [`validate`](Self::validate).
+    ///
+    /// # Errors
+    ///
+    /// The first check the stream fails, on the field that set it.
+    pub fn check_stream(
+        &self,
+        jobs: &[Job],
+        traced: bool,
+        name: FieldNamer<'_>,
+    ) -> Result<(), FieldError> {
+        let v = Domain(name);
+        let resolution = check_time_resolution(jobs.iter().map(|j| j.arrival), self.demand.rate());
+        if let Err(e) = resolution {
+            return Err(v.fail("workload.rate", |f| format!("{f} {e}")));
+        }
+        let sample = match self.telemetry {
+            Some(t) => Some(t.sample_s),
+            None => traced.then(|| TelemetrySpec::default().sample_s),
+        };
+        for (path, cadence) in [
+            ("control.tick_s", self.control.tick_s()),
+            ("telemetry.sample_s", sample),
+        ] {
+            let Some(cadence) = cadence else { continue };
+            let ends = jobs.iter().map(|j| j.arrival + j.service);
+            if let Err(e) = check_cadence(Seconds::new(cadence), ends) {
+                return Err(v.fail(path, |f| format!("{f}: {e}")));
+            }
+        }
+        Ok(())
     }
 
     /// The fleet configuration this scenario describes.
@@ -1003,14 +1080,133 @@ impl Scenario {
     }
 }
 
-/// Maps a spec/CLI policy spelling to its [`ServerPolicy`].
-fn policy_from_name(name: &str) -> Option<ServerPolicy> {
+/// A scenario value outside its domain, found by
+/// [`Scenario::validate`] or [`Scenario::check_stream`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError {
+    /// The field's dotted schema path (`workload.rate`).
+    pub path: &'static str,
+    /// For a `server_class.*` path, which `[[server_class]]` entry.
+    pub class: Option<usize>,
+    /// What is wrong, naming the field as the front end spells it.
+    pub message: String,
+}
+
+/// How a front end spells a field's dotted schema path in its messages.
+pub type FieldNamer<'a> = &'a dyn Fn(&'static str) -> String;
+
+/// A spec names a field by its table and key: `[workload] rate`.
+pub(crate) fn spec_field_name(path: &'static str) -> String {
+    match path.split_once('.') {
+        Some(("server_class", key)) => format!("[[server_class]] {key}"),
+        Some((table, key)) => format!("[{table}] {key}"),
+        None => path.to_owned(),
+    }
+}
+
+/// The spec line that sets the dotted `path` (in the `class`-th
+/// `[[server_class]]` entry, for a class field): the key's line, else
+/// its table's.
+pub(crate) fn field_line(doc: &Table, path: &str, class: Option<usize>) -> Option<usize> {
+    let (table, key) = path.split_once('.')?;
+    let mut scope = doc.get(table)?;
+    if let (Some(i), Value::Array(items)) = (class, &scope.value) {
+        scope = items.get(i)?;
+    }
+    let key_line = scope.value.as_table().and_then(|t| t.get(key));
+    Some(key_line.map_or(scope.line, |v| v.line))
+}
+
+/// The value domains, written once, naming fields through a front
+/// end's [`FieldNamer`].
+struct Domain<'a>(FieldNamer<'a>);
+
+impl Domain<'_> {
+    fn fail(&self, path: &'static str, message: impl FnOnce(String) -> String) -> FieldError {
+        FieldError {
+            path,
+            class: None,
+            message: message((self.0)(path)),
+        }
+    }
+
+    /// `path`'s error unless `ok`; `message` gets the field's name.
+    fn check(
+        &self,
+        ok: bool,
+        path: &'static str,
+        message: impl FnOnce(String) -> String,
+    ) -> Result<(), FieldError> {
+        if ok {
+            Ok(())
+        } else {
+            Err(self.fail(path, message))
+        }
+    }
+
+    fn count(&self, path: &'static str, n: usize) -> Result<(), FieldError> {
+        self.check(n >= 1, path, |f| format!("{f} must be at least 1, got {n}"))
+    }
+
+    fn positive(&self, path: &'static str, x: f64) -> Result<(), FieldError> {
+        self.check(x > 0.0 && x.is_finite(), path, |f| {
+            format!("{f} must be positive and finite, got {x}")
+        })
+    }
+
+    /// A temperature a loop can be set to: finite and not below absolute
+    /// zero. (The chiller model fits no upper end.)
+    fn temperature(&self, path: &'static str, c: f64) -> Result<(), FieldError> {
+        let floor = Celsius::ABSOLUTE_ZERO.value();
+        self.check(c.is_finite(), path, |f| format!("{f} {c} °C is not finite"))?;
+        self.check(c >= floor, path, |f| {
+            format!("{f} {c} °C is below absolute zero ({floor} °C)")
+        })
+    }
+
+    /// A server water inlet inside the chiller's envelope.
+    fn water_inlet(&self, path: &'static str, c: f64) -> Result<(), FieldError> {
+        self.check((5.0..=60.0).contains(&c), path, |f| {
+            format!("{f} {c} °C is outside the 5..=60 °C chiller envelope")
+        })
+    }
+
+    /// A thermal-grid pitch that is positive and fits the cell budget.
+    fn grid_pitch(&self, path: &'static str, mm: f64) -> Result<(), FieldError> {
+        self.positive(path, mm)?;
+        check_grid_pitch(mm).map_err(|e| self.fail(path, |f| format!("{f}: {e}")))
+    }
+}
+
+/// Maps a spec/CLI mapping-policy spelling to its [`ServerPolicy`].
+///
+/// # Errors
+///
+/// Names the unknown policy and the valid spellings.
+pub fn policy_from_name(name: &str) -> Result<ServerPolicy, String> {
     match name {
-        "proposed" => Some(ServerPolicy::Proposed),
-        "coskun" => Some(ServerPolicy::Coskun),
-        "inlet" => Some(ServerPolicy::InletFirst),
-        "packed" => Some(ServerPolicy::Packed),
-        _ => None,
+        "proposed" => Ok(ServerPolicy::Proposed),
+        "coskun" => Ok(ServerPolicy::Coskun),
+        "inlet" => Ok(ServerPolicy::InletFirst),
+        "packed" => Ok(ServerPolicy::Packed),
+        other => Err(format!(
+            "unknown policy `{other}` (use proposed, coskun, inlet or packed)"
+        )),
+    }
+}
+
+/// Maps a spec/CLI planner-solver spelling to its [`PlanSolver`].
+///
+/// # Errors
+///
+/// Names the unknown solver and the valid spellings.
+pub fn solver_from_name(name: &str) -> Result<PlanSolver, String> {
+    match name {
+        "lp" => Ok(PlanSolver::Lp),
+        "anneal" => Ok(PlanSolver::Anneal),
+        other => Err(format!(
+            "unknown planner solver `{other}` (use lp or anneal)"
+        )),
     }
 }
 
@@ -1055,30 +1251,11 @@ fn parse_server_classes(doc: &Table) -> Result<Vec<ClassSpec>, SpecError> {
                 format!("duplicate server class `{name}`"),
             ));
         }
-        let grid_pitch_mm = ctx.positive_f64_opt("grid_pitch_mm")?;
-        if let Some(p) = grid_pitch_mm {
-            check_grid_pitch(p).map_err(|e| ctx.value_error("grid_pitch_mm", e))?;
-        }
+        let grid_pitch_mm = ctx.f64_opt("grid_pitch_mm")?;
         let water_inlet_c = ctx.f64_opt("water_inlet_c")?;
-        if let Some(t) = water_inlet_c {
-            if !(5.0..=60.0).contains(&t) {
-                return Err(ctx.value_error(
-                    "water_inlet_c",
-                    format!("water inlet {t} °C outside the 5..=60 °C chiller envelope"),
-                ));
-            }
-        }
         let policy = match ctx.string_opt("policy")? {
             None => None,
-            Some(s) => match policy_from_name(&s) {
-                Some(p) => Some(p),
-                None => {
-                    return Err(ctx.value_error(
-                        "policy",
-                        format!("unknown policy `{s}` (use proposed, coskun, inlet or packed)"),
-                    ))
-                }
-            },
+            Some(s) => Some(policy_from_name(&s).map_err(|e| ctx.value_error("policy", e))?),
         };
         classes.push(ClassSpec {
             name,
@@ -1318,25 +1495,6 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    fn positive_f64_opt(&self, key: &str) -> Result<Option<f64>, SpecError> {
-        match self.f64_opt(key)? {
-            None => Ok(None),
-            Some(x) if x > 0.0 && x.is_finite() => Ok(Some(x)),
-            Some(x) => {
-                Err(self.value_error(key, format!("`{key}` must be positive and finite, got {x}")))
-            }
-        }
-    }
-
-    fn positive_f64(&self, key: &str, default: f64) -> Result<f64, SpecError> {
-        let x = self.f64(key, default)?;
-        if x > 0.0 && x.is_finite() {
-            Ok(x)
-        } else {
-            Err(self.value_error(key, format!("`{key}` must be positive and finite, got {x}")))
-        }
-    }
-
     fn u64(&self, key: &str, default: u64) -> Result<u64, SpecError> {
         match self.table.get(key) {
             None => Ok(default),
@@ -1350,22 +1508,15 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// A positive count (`usize ≥ 1`).
+    /// A count: a non-negative integer (zero, where a count must be
+    /// positive, is [`Scenario::validate`]'s to reject).
     fn count(&self, key: &str, default: usize) -> Result<usize, SpecError> {
-        match self.count_opt(key)? {
-            Some(n) => Ok(n),
-            None => Ok(default),
-        }
-    }
-
-    fn count_opt(&self, key: &str) -> Result<Option<usize>, SpecError> {
         match self.table.get(key) {
-            None => Ok(None),
+            None => Ok(default),
             Some(v) => match v.value {
-                Value::Integer(i) if i >= 1 => Ok(Some(i as usize)),
-                Value::Integer(i) => {
-                    Err(self.value_error(key, format!("`{key}` must be at least 1, got {i}")))
-                }
+                Value::Integer(i) => usize::try_from(i).map_err(|_| {
+                    self.value_error(key, format!("`{key}` must be a positive integer, got {i}"))
+                }),
                 ref other => Err(self.type_error(key, "positive integer", other, v.line)),
             },
         }

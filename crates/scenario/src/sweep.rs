@@ -20,15 +20,13 @@
 //! their key and the report rows come back in grid order.
 
 use crate::report::{SweepReport, SweepRow};
-use crate::spec::{reject_empty, ControlKind, Scenario, SpecError, SweptAxes, TelemetrySpec};
+use crate::spec::{field_line, reject_empty, spec_field_name, Scenario, SpecError, SweptAxes};
 use crate::toml::{self, Spanned, Table, Value};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tps_cluster::{FleetTrace, Job, OutcomeCache, SimResult};
 use tps_core::RunError;
-use tps_units::Seconds;
-use tps_workload::{check_cadence, check_time_resolution};
 
 /// Axis paths the sweep engine accepts, mirroring the scalar keys of the
 /// scenario schema (arrays such as `workload.qos_weights` cannot be swept).
@@ -310,60 +308,6 @@ impl Sweep {
             .map(|(report, traces)| (report, traces.into_iter().flatten().collect()))
     }
 
-    /// Rejects a grid point whose control tick or telemetry sample
-    /// cadence schedules more events over its stream than
-    /// [`check_cadence`] allows, naming the line that set it.
-    fn check_cadences(
-        &self,
-        s: &Scenario,
-        stream: &[Job],
-        collect_traces: bool,
-    ) -> Result<(), SpecError> {
-        let tick = match s.control {
-            ControlKind::Shed { tick_s, .. }
-            | ControlKind::Autoscale { tick_s, .. }
-            | ControlKind::Planner { tick_s, .. } => Some(tick_s),
-            ControlKind::Static | ControlKind::Setpoint { .. } => None,
-        };
-        let sample = match s.telemetry {
-            Some(t) => Some(t.sample_s),
-            None => collect_traces.then(|| TelemetrySpec::default().sample_s),
-        };
-        for (path, cadence) in [("control.tick_s", tick), ("telemetry.sample_s", sample)] {
-            let Some(cadence) = cadence else { continue };
-            let ends = stream.iter().map(|j| j.arrival + j.service);
-            check_cadence(Seconds::new(cadence), ends).map_err(|e| {
-                let (table, key) = path.split_once('.').expect("dotted path");
-                let point = if self.axes.is_empty() {
-                    String::new()
-                } else {
-                    format!("grid point `{}`: ", s.name)
-                };
-                SpecError {
-                    line: self.key_line(path),
-                    message: format!("{point}[{table}] {key}: {e}"),
-                }
-            })?;
-        }
-        Ok(())
-    }
-
-    /// The spec line that sets the dotted `table.key` path for every grid
-    /// point: its sweep axis, else the base spec's key, else its table.
-    fn key_line(&self, path: &str) -> Option<usize> {
-        if let Some(axis) = self.axes.iter().find(|a| a.path == path) {
-            return Some(axis.line);
-        }
-        let (table, key) = path.split_once('.')?;
-        let t = self.base.get(table)?;
-        Some(
-            t.value
-                .as_table()
-                .and_then(|sub| sub.get(key))
-                .map_or(t.line, |v| v.line),
-        )
-    }
-
     fn execute(
         &self,
         threads: usize,
@@ -392,10 +336,24 @@ impl Sweep {
         // synthesis is cheap and deterministic, so do it once up front.
         let jobs: Vec<Vec<Job>> = scenarios.iter().map(Scenario::synthesize_jobs).collect();
         for (s, stream) in scenarios.iter().zip(&jobs) {
-            check_time_resolution(stream.iter().map(|j| j.arrival), s.demand.rate()).map_err(
-                |e| SpecError::global(format!("grid point `{}`: [workload] {e}", s.name)),
-            )?;
-            self.check_cadences(s, stream, collect_traces)?;
+            s.check_stream(stream, collect_traces, &spec_field_name)
+                .map_err(|e| {
+                    let point = if self.axes.is_empty() {
+                        String::new()
+                    } else {
+                        format!("grid point `{}`: ", s.name)
+                    };
+                    // The line that sets the field for every grid point:
+                    // its sweep axis, else the base spec's key or table.
+                    let line = match self.axes.iter().find(|a| a.path == e.path) {
+                        Some(axis) => Some(axis.line),
+                        None => field_line(&self.base, e.path, None),
+                    };
+                    SpecError {
+                        line,
+                        message: format!("{point}{}", e.message),
+                    }
+                })?;
         }
         let (results, counters) = run_grid(&scenarios, &jobs, threads, collect_traces)?;
         let mut rows = Vec::with_capacity(results.len());

@@ -432,3 +432,21 @@ fn a_cadence_past_the_event_budget_is_rejected_with_its_line() {
     assert!(e.message.contains("grid point `control.tick_s="), "{e}");
     assert!(e.message.contains("[control] tick_s"), "{e}");
 }
+
+#[test]
+fn temperatures_below_absolute_zero_are_rejected_with_their_line() {
+    // The heat-reuse set-point and the planner's candidate grid share
+    // the set-point program's temperature domain.
+    let e = fail_scenario("[fleet]\nracks = 1\n[cooling]\nheat_reuse_c = -400.0\n");
+    assert_eq!(e.line, Some(4));
+    assert!(e.message.contains("heat_reuse_c -400 °C"), "{e}");
+    assert!(e.message.contains("below absolute zero"), "{e}");
+
+    let e = fail_scenario("[control]\npolicy = \"planner\"\nsetpoint_grid = [-400.0]\n");
+    assert_eq!(e.line, Some(3));
+    assert!(e.message.contains("setpoint_grid -400 °C"), "{e}");
+    assert!(e.message.contains("below absolute zero"), "{e}");
+
+    // Absolute zero itself is a temperature, if not a useful one.
+    Scenario::parse("[cooling]\nheat_reuse_c = -273.15\n", "t").expect("at the floor");
+}

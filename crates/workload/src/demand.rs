@@ -273,7 +273,8 @@ const TIME_RESOLUTION_S: f64 = 1e-3;
 
 /// Rejects a job stream whose latest arrival sits where adjacent `f64`
 /// times are more than 1 ms apart. `rate` is the demand rate (jobs/s)
-/// that produced the stream, named in the error.
+/// that produced the stream; the error starts with it, so a caller can
+/// put the name of the setting in front (`rate 1e-20 jobs/s puts …`).
 ///
 /// ```
 /// use tps_units::Seconds;
@@ -297,7 +298,7 @@ pub fn check_time_resolution(
     // An infinite horizon has a NaN step: reject it too.
     if !step.is_finite() || step > TIME_RESOLUTION_S {
         return Err(format!(
-            "rate {rate:e} jobs/s puts the last arrival at {last:.3e} s, where f64 time steps \
+            "{rate:e} jobs/s puts the last arrival at {last:.3e} s, where f64 time steps \
              are {step:.3e} s — coarser than the {TIME_RESOLUTION_S} s runtime resolution; \
              raise the rate or lower the job count"
         ));

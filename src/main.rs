@@ -18,25 +18,17 @@ mod cliargs;
 use cliargs::CliArgs;
 use std::path::Path;
 use std::process::ExitCode;
-use tps::cluster::{
-    synthesize_jobs, synthesize_request_jobs, AutoscaleControl, ControlPolicy, CoolestRackFirst,
-    Fleet, FleetCatalog, FleetConfig, FleetDispatcher, FleetOutcome, Job, JobMix,
-    LoadSheddingControl, OutcomeCache, PlanSolver, PlannedDispatch, PlannerControl, RoundRobin,
-    ServerClass, ServerPolicy, SetpointScheduler, StaticControl, TelemetryConfig,
-    ThermalAwareDispatch,
-};
-use tps::cooling::Chiller;
+use tps::cluster::{Fleet, FleetConfig, FleetOutcome, OutcomeCache};
 use tps::core::{
     check_grid_pitch, ConfigSelector, CoskunBalancing, InletFirstMapping, MappingPolicy,
     MinPowerSelector, PackAndCapSelector, PackedMapping, ProposedMapping, Server,
 };
 use tps::power::CState;
-use tps::scenario::Sweep;
-use tps::units::{Celsius, Seconds};
-use tps::workload::{
-    check_cadence, check_time_resolution, profile_application, Benchmark, BurstyDemand,
-    ConstantDemand, DiurnalDemand, QosClass, ServingDemand,
+use tps::scenario::{
+    policy_from_name, solver_from_name, ClassSpec, ControlKind, DemandKind, DispatcherKind,
+    Scenario, ServingSpec, Sweep, TelemetrySpec,
 };
+use tps::workload::{profile_application, Benchmark, QosClass};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -231,31 +223,45 @@ fn cmd_list() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Parsed `tps fleet` arguments.
+/// Parsed `tps fleet` arguments: the scenario the flags describe, plus
+/// what only the command line has — the dispatchers to compare, the
+/// requested server count (rounded up to full racks), `--stats` and
+/// `--trace-out`.
 struct FleetArgs {
+    scenario: Scenario,
     servers: usize,
-    racks: Option<usize>,
-    jobs: usize,
-    seed: u64,
-    rate: f64,
-    demand: String,
-    dispatcher: String,
-    policy: ServerPolicy,
-    ambient: f64,
-    pitch: f64,
-    threads: usize,
-    classes: Vec<ServerClass>,
-    control: ControlSpec,
+    dispatchers: Vec<DispatcherKind>,
     trace_out: Option<String>,
-    sample: f64,
     stats: bool,
-    serving: bool,
+}
+
+/// The flag that sets a scenario field, for error messages. Fields no
+/// flag sets keep the schema default, which validation accepts.
+fn flag_for(path: &'static str) -> String {
+    match path {
+        "fleet.grid_pitch_mm" => "--pitch",
+        "fleet.threads" => "--threads",
+        "server_class.grid_pitch_mm" => "--classes pitch",
+        "server_class.water_inlet_c" => "--classes inlet",
+        "cooling.heat_reuse_c" => "--ambient",
+        "workload.jobs" => "--jobs",
+        "workload.rate" => "--rate",
+        "control.times_s" | "control.setpoints_c" => "--setpoints",
+        "control.tick_s" => "--tick",
+        "control.horizon_s" => "--horizon",
+        "control.replan_ticks" => "--replan-ticks",
+        "control.setpoint_grid" => "--setpoint-grid",
+        "control.anneal_iters" => "--anneal-iters",
+        "telemetry.sample_s" => "--sample",
+        other => other,
+    }
+    .to_owned()
 }
 
 /// Parses a `--classes` entry list: `NAME[:PITCH[:INLET[:POLICY]]]`,
 /// comma-separated. Omitted fields inherit the fleet-wide flags.
-fn parse_classes(raw: &str) -> Result<Vec<ServerClass>, String> {
-    let mut classes: Vec<ServerClass> = Vec::new();
+fn parse_classes(raw: &str) -> Result<Vec<ClassSpec>, String> {
+    let mut classes: Vec<ClassSpec> = Vec::new();
     for entry in raw.split(',') {
         let mut fields = entry.split(':');
         let name = fields.next().unwrap_or("").trim();
@@ -268,161 +274,73 @@ fn parse_classes(raw: &str) -> Result<Vec<ServerClass>, String> {
         if classes.iter().any(|c| c.name == name) {
             return Err(format!("duplicate --classes name `{name}`"));
         }
-        let mut class = ServerClass::new(name);
-        if let Some(pitch) = fields.next().filter(|s| !s.trim().is_empty()) {
-            let p: f64 = pitch
-                .trim()
-                .parse()
-                .map_err(|e| format!("bad --classes pitch `{pitch}`: {e}"))?;
-            if !(p > 0.0 && p.is_finite()) {
-                return Err(format!("--classes pitch `{pitch}` must be positive"));
+        let mut field = |what: &str| -> Result<Option<f64>, String> {
+            match fields.next().map(str::trim).filter(|s| !s.is_empty()) {
+                None => Ok(None),
+                Some(raw) => raw
+                    .parse()
+                    .map(Some)
+                    .map_err(|e| format!("bad --classes {what} `{raw}`: {e}")),
             }
-            check_grid_pitch(p).map_err(|e| format!("--classes pitch: {e}"))?;
-            class.grid_pitch_mm = Some(p);
-        }
-        if let Some(inlet) = fields.next().filter(|s| !s.trim().is_empty()) {
-            let t: f64 = inlet
-                .trim()
-                .parse()
-                .map_err(|e| format!("bad --classes inlet `{inlet}`: {e}"))?;
-            if !(5.0..=60.0).contains(&t) {
-                return Err(format!(
-                    "--classes inlet `{inlet}` outside the 5..=60 °C chiller envelope"
-                ));
-            }
-            class.water_inlet_c = Some(t);
-        }
-        if let Some(policy) = fields.next().filter(|s| !s.trim().is_empty()) {
-            class.policy = Some(match policy.trim() {
-                "proposed" => ServerPolicy::Proposed,
-                "coskun" => ServerPolicy::Coskun,
-                "inlet" => ServerPolicy::InletFirst,
-                "packed" => ServerPolicy::Packed,
-                other => return Err(format!("unknown --classes policy `{other}`")),
-            });
-        }
+        };
+        let grid_pitch_mm = field("pitch")?;
+        let water_inlet_c = field("inlet")?;
+        let policy = match fields.next().map(str::trim).filter(|s| !s.is_empty()) {
+            None => None,
+            Some(p) => Some(policy_from_name(p).map_err(|e| format!("--classes: {e}"))?),
+        };
         if let Some(extra) = fields.next() {
             return Err(format!("trailing `:{extra}` in --classes entry `{entry}`"));
         }
-        classes.push(class);
+        classes.push(ClassSpec {
+            name: name.to_owned(),
+            grid_pitch_mm,
+            water_inlet_c,
+            policy,
+        });
     }
     Ok(classes)
 }
 
-/// Which control policy `tps fleet` runs (policies can be stateful, so
-/// each dispatcher run instantiates a fresh one from this spec).
-enum ControlSpec {
-    Static,
-    Setpoint(Vec<(Seconds, Celsius)>),
-    Shed {
-        tick: f64,
-    },
-    Autoscale {
-        tick: f64,
-    },
-    Planner {
-        tick: f64,
-        horizon: f64,
-        replan_ticks: usize,
-        grid: Vec<f64>,
-        anneal_iters: usize,
-        solver: PlanSolver,
-    },
-}
-
-impl ControlSpec {
-    /// `rack_step` is the fleet's servers-per-rack: activation is
-    /// rack-granular, so the autoscaler steps (and floors) at whole racks.
-    fn instantiate(&self, rack_step: usize) -> Box<dyn ControlPolicy> {
-        match self {
-            ControlSpec::Static => Box::new(StaticControl),
-            ControlSpec::Setpoint(program) => Box::new(SetpointScheduler::new(program.clone())),
-            ControlSpec::Shed { tick } => {
-                Box::new(LoadSheddingControl::new(Seconds::new(*tick), 8, 2))
-            }
-            ControlSpec::Autoscale { tick } => Box::new(AutoscaleControl::new(
-                Seconds::new(*tick),
-                rack_step,
-                rack_step,
-                2.0,
-                0.25,
-                Seconds::new(10.0),
-            )),
-            ControlSpec::Planner {
-                tick,
-                horizon,
-                replan_ticks,
-                grid,
-                anneal_iters,
-                solver,
-            } => Box::new(PlannerControl::new(
-                Seconds::new(*tick),
-                Seconds::new(*horizon),
-                *replan_ticks,
-                grid.clone(),
-                *anneal_iters,
-                *solver,
-            )),
-        }
-    }
-}
-
 /// Parses `--setpoint-grid C,C,...` into the planner's candidate list.
 fn parse_setpoint_grid(raw: &str) -> Result<Vec<f64>, String> {
-    let mut grid = Vec::new();
-    for entry in raw.split(',') {
-        let c: f64 = entry
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad --setpoint-grid entry `{entry}`: {e}"))?;
-        if !c.is_finite() {
-            return Err(format!("--setpoint-grid entry `{entry}` must be finite"));
-        }
-        grid.push(c);
-    }
-    if grid.is_empty() {
-        return Err("--setpoint-grid needs at least one temperature".to_owned());
-    }
-    Ok(grid)
+    raw.split(',')
+        .map(|entry| {
+            entry
+                .trim()
+                .parse()
+                .map_err(|e| format!("bad --setpoint-grid entry `{entry}`: {e}"))
+        })
+        .collect()
 }
 
-/// Parses `--setpoints T:C,T:C,...` into a set-point program.
-fn parse_setpoints(raw: &str) -> Result<Vec<(Seconds, Celsius)>, String> {
-    let mut program = Vec::new();
+/// Parses `--setpoints T:C,T:C,...` into a set-point program's change
+/// instants and set-points.
+fn parse_setpoints(raw: &str) -> Result<(Vec<f64>, Vec<f64>), String> {
+    let mut program = (Vec::new(), Vec::new());
     for entry in raw.split(',') {
         let Some((t, c)) = entry.split_once(':') else {
             return Err(format!(
                 "bad --setpoints entry `{entry}` (expected TIME:CELSIUS, e.g. 300:45)"
             ));
         };
-        let t: f64 = t
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad --setpoints time `{t}`: {e}"))?;
-        let c: f64 = c
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad --setpoints temperature `{c}`: {e}"))?;
-        if !(t >= 0.0 && t.is_finite() && c.is_finite()) {
-            return Err(format!("--setpoints entry `{entry}` out of range"));
-        }
-        let floor = Celsius::ABSOLUTE_ZERO.value();
-        if c < floor {
-            return Err(format!(
-                "--setpoints temperature {c} °C in `{entry}` is below absolute zero ({floor} °C)"
-            ));
-        }
-        program.push((Seconds::new(t), Celsius::new(c)));
-    }
-    if program.is_empty() {
-        return Err("--setpoints needs at least one TIME:CELSIUS entry".to_owned());
-    }
-    if program.windows(2).any(|w| w[0].0.value() >= w[1].0.value()) {
-        return Err("--setpoints times must be strictly ascending".to_owned());
+        program.0.push(
+            t.trim()
+                .parse()
+                .map_err(|e| format!("bad --setpoints time `{t}`: {e}"))?,
+        );
+        program.1.push(
+            c.trim()
+                .parse()
+                .map_err(|e| format!("bad --setpoints temperature `{c}`: {e}"))?,
+        );
     }
     Ok(program)
 }
 
+/// Turns the `tps fleet` flags into a validated [`Scenario`]. Flag
+/// syntax and which flags go together are checked here; every value
+/// goes through [`Scenario::validate`], the check a spec gets too.
 fn parse_fleet_args(raw: &[String]) -> Result<FleetArgs, String> {
     let args = CliArgs::parse_with_switches(
         raw,
@@ -491,168 +409,156 @@ fn parse_fleet_args(raw: &[String]) -> Result<FleetArgs, String> {
                 .to_owned(),
         );
     }
+
+    // The schema defaults: every flag left out reads as the spec key it
+    // sets would.
+    let d = Scenario::parse("[fleet]\n", "fleet").expect("the all-defaults spec parses");
+    let servers: usize = args.parsed("servers", d.racks * d.servers_per_rack)?;
+    let racks = match args.flag("racks") {
+        Some(_) => args.parsed("racks", 0usize)?,
+        None => match servers {
+            0..=1 => 1,
+            2..=15 => 2,
+            n => n / 8,
+        },
+    };
+    if servers == 0 || racks == 0 {
+        return Err("--servers and --racks must be positive".to_owned());
+    }
+    let servers_per_rack = servers.div_ceil(racks);
+
     let control = match control_name {
-        "static" => ControlSpec::Static,
+        "static" => ControlKind::Static,
         "setpoint" => {
             let raw = args
                 .flag("setpoints")
-                .ok_or_else(|| "--control setpoint needs --setpoints T:C,T:C,...".to_owned())?;
-            ControlSpec::Setpoint(parse_setpoints(raw)?)
+                .ok_or("--control setpoint needs --setpoints T:C,T:C,...")?;
+            let (times_s, setpoints_c) = parse_setpoints(raw)?;
+            ControlKind::Setpoint {
+                times_s,
+                setpoints_c,
+            }
         }
-        "shed" => ControlSpec::Shed {
-            tick: args.parsed("tick", 60.0)?,
+        "shed" => ControlKind::Shed {
+            tick_s: args.parsed("tick", 60.0)?,
+            high_watermark: 8,
+            low_watermark: 2,
         },
-        "autoscale" => {
-            if !serving {
-                return Err(
-                    "--control autoscale needs --serving (it scales the active-server set \
-                     against request latency)"
-                        .to_owned(),
-                );
-            }
-            ControlSpec::Autoscale {
-                tick: args.parsed("tick", 30.0)?,
-            }
+        "autoscale" if !serving => {
+            return Err(
+                "--control autoscale needs --serving (it scales the active-server \
+                        set against request latency)"
+                    .to_owned(),
+            )
         }
-        "planner" => {
-            let grid = parse_setpoint_grid(args.flag("setpoint-grid").ok_or_else(|| {
-                "--control planner needs --setpoint-grid C,C,... (candidate set-points)".to_owned()
-            })?)?;
-            let replan_ticks: usize = args.parsed("replan-ticks", 1usize)?;
-            let anneal_iters: usize = args.parsed("anneal-iters", 2_000usize)?;
-            if replan_ticks == 0 || anneal_iters == 0 {
-                return Err("--replan-ticks and --anneal-iters must be positive".to_owned());
-            }
-            ControlSpec::Planner {
-                tick: args.parsed("tick", 30.0)?,
-                horizon: args.parsed("horizon", 120.0)?,
-                replan_ticks,
-                grid,
-                anneal_iters,
-                solver: match args.flag_or("solver", "lp") {
-                    "lp" => PlanSolver::Lp,
-                    "anneal" => PlanSolver::Anneal,
-                    other => {
-                        return Err(format!(
-                            "unknown planner solver `{other}` (use lp or anneal)"
-                        ))
-                    }
-                },
-            }
-        }
+        // Activation is rack-granular: step and floor at whole racks.
+        "autoscale" => ControlKind::Autoscale {
+            tick_s: args.parsed("tick", 30.0)?,
+            min_servers: servers_per_rack,
+            step_servers: servers_per_rack,
+            queue_high: 2.0,
+            queue_low: 0.25,
+            p99_slo_s: 10.0,
+        },
+        "planner" => ControlKind::Planner {
+            tick_s: args.parsed("tick", 30.0)?,
+            horizon_s: args.parsed("horizon", 120.0)?,
+            replan_ticks: args.parsed("replan-ticks", 1)?,
+            setpoint_grid: parse_setpoint_grid(args.flag("setpoint-grid").ok_or(
+                "--control planner needs --setpoint-grid C,C,... (candidate set-points)",
+            )?)?,
+            anneal_iters: args.parsed("anneal-iters", 2_000)?,
+            solver: solver_from_name(args.flag_or("solver", "lp"))
+                .map_err(|e| format!("--solver: {e}"))?,
+        },
         other => {
             return Err(format!(
-                "unknown control policy `{other}` \
+                "--control: unknown control policy `{other}` \
                  (use static, setpoint, shed, autoscale or planner)"
             ))
         }
     };
-    let out = FleetArgs {
-        servers: args.parsed("servers", 16)?,
-        racks: match args.flag("racks") {
-            None => None,
-            Some(_) => Some(args.parsed("racks", 0usize)?),
-        },
-        jobs: args.parsed("jobs", 200)?,
-        seed: args.parsed("seed", 42)?,
-        rate: args.parsed("rate", 0.7)?,
-        demand: args.flag_or("demand", "diurnal").to_owned(),
-        dispatcher: args.flag_or("dispatcher", "all").to_owned(),
-        policy: match args.flag_or("policy", "proposed") {
-            "proposed" => ServerPolicy::Proposed,
-            "coskun" => ServerPolicy::Coskun,
-            "inlet" => ServerPolicy::InletFirst,
-            "packed" => ServerPolicy::Packed,
-            other => return Err(format!("unknown policy `{other}`")),
-        },
-        ambient: args.parsed("ambient", 70.0)?,
-        pitch: args.parsed("pitch", 2.0)?,
-        threads: args.parsed("threads", FleetConfig::default_threads())?,
-        classes: match args.flag("classes") {
-            None => Vec::new(),
-            Some(raw) => parse_classes(raw)?,
-        },
-        control,
-        trace_out: args.flag("trace-out").map(str::to_owned),
-        sample: args.parsed("sample", 30.0)?,
-        stats: args.parsed("stats", false)?,
-        serving,
-    };
-    if out.servers == 0
-        || out.jobs == 0
-        || out.racks == Some(0)
-        || out.rate <= 0.0
-        || out.pitch <= 0.0
-        || out.threads == 0
-        || out.sample <= 0.0
-    {
-        return Err(
-            "--servers, --racks, --jobs, --rate, --pitch, --threads and --sample must be positive"
-                .to_owned(),
-        );
-    }
-    check_grid_pitch(out.pitch).map_err(|e| format!("--pitch: {e}"))?;
-    match &out.control {
-        ControlSpec::Shed { tick } | ControlSpec::Autoscale { tick } if *tick <= 0.0 => {
-            return Err("--tick must be positive".to_owned());
-        }
-        ControlSpec::Planner { tick, horizon, .. } if *tick <= 0.0 || *horizon <= 0.0 => {
-            return Err("--tick and --horizon must be positive".to_owned());
-        }
-        _ => {}
-    }
-    Ok(out)
-}
 
-fn synthesize_fleet_jobs(a: &FleetArgs) -> Result<Vec<Job>, String> {
-    if a.serving {
-        // Peak `--rate` requests/s over a 10-minute diurnal cycle with
-        // 2.5× flash crowds, 2 s mean service time — the CLI counterpart
-        // of `scenarios/serving_diurnal.toml`.
-        let demand = ServingDemand::new(
-            a.rate * 0.2,
-            a.rate,
-            Seconds::new(600.0),
-            2.5,
-            Seconds::new(60.0),
-            Seconds::new(420.0),
-            a.seed,
-        );
-        return Ok(synthesize_request_jobs(
-            a.jobs,
-            &demand,
-            Seconds::new(2.0),
-            a.seed,
-        ));
-    }
-    let mix = JobMix::default();
-    match a.demand.as_str() {
-        "constant" => Ok(synthesize_jobs(
-            a.jobs,
-            &ConstantDemand::new(a.rate),
-            mix,
-            a.seed,
-        )),
-        "diurnal" => Ok(synthesize_jobs(
-            a.jobs,
-            &DiurnalDemand::new(a.rate * 0.2, a.rate, Seconds::new(600.0)),
-            mix,
-            a.seed,
-        )),
-        "bursty" => Ok(synthesize_jobs(
-            a.jobs,
-            &BurstyDemand::new(
-                a.rate * 0.2,
-                a.rate,
-                Seconds::new(60.0),
-                Seconds::new(240.0),
-                a.seed,
-            ),
-            mix,
-            a.seed,
-        )),
-        other => Err(format!("unknown demand model `{other}`")),
-    }
+    let rate = args.parsed("rate", d.demand.rate())?;
+    let demand = match args.flag_or("demand", "diurnal") {
+        "constant" => DemandKind::Constant { rate },
+        "diurnal" => DemandKind::Diurnal {
+            rate,
+            base_fraction: 0.2,
+            period_s: 600.0,
+        },
+        "bursty" => DemandKind::Bursty {
+            rate,
+            base_fraction: 0.2,
+            burst_s: 60.0,
+            gap_s: 240.0,
+        },
+        other => return Err(format!("--demand: unknown demand model `{other}`")),
+    };
+    let classes = match args.flag("classes") {
+        None => Vec::new(),
+        Some(raw) => parse_classes(raw)?,
+    };
+    let trace_out = args.flag("trace-out").map(str::to_owned);
+    let telemetry = match trace_out {
+        None => None,
+        Some(_) => Some(TelemetrySpec {
+            sample_s: args.parsed("sample", 30.0)?,
+            ..TelemetrySpec::default()
+        }),
+    };
+    let scenario = Scenario {
+        racks,
+        servers_per_rack,
+        grid_pitch_mm: args.parsed("pitch", d.grid_pitch_mm)?,
+        policy: policy_from_name(args.flag_or("policy", d.policy.spec_name()))
+            .map_err(|e| format!("--policy: {e}"))?,
+        threads: args.parsed("threads", d.threads)?,
+        heat_reuse_c: args.parsed("ambient", d.heat_reuse_c)?,
+        jobs: args.parsed("jobs", d.jobs)?,
+        seed: args.parsed("seed", d.seed)?,
+        demand,
+        // Requests ride the diurnal envelope with 2.5× surges, 60 s long
+        // and 420 s apart, and 2 s service: the CLI counterpart of
+        // `scenarios/serving_diurnal.toml`.
+        serving: serving.then_some(ServingSpec {
+            surge: 2.5,
+            surge_s: 60.0,
+            surge_gap_s: 420.0,
+        }),
+        mean_service_s: if serving { 2.0 } else { d.mean_service_s },
+        control,
+        telemetry,
+        // Classes cycle across racks: rack r is entirely class r mod k.
+        rack_classes: match classes.len() {
+            0 => Vec::new(),
+            k => (0..racks).map(|r| vec![r % k]).collect(),
+        },
+        classes,
+        ..d
+    };
+    scenario.validate(&flag_for).map_err(|e| e.message)?;
+    let dispatchers = match args.flag_or("dispatcher", "all") {
+        "all" => vec![
+            DispatcherKind::RoundRobin,
+            DispatcherKind::CoolestRackFirst,
+            DispatcherKind::ThermalAware,
+        ],
+        name => vec![DispatcherKind::from_spec_name(match name {
+            "round-robin" => "rr",
+            "coolest-rack-first" => "coolest",
+            "thermal-aware" => "thermal",
+            other => other,
+        })
+        .map_err(|e| format!("--dispatcher: {e}, or all"))?],
+    };
+    Ok(FleetArgs {
+        scenario,
+        servers,
+        dispatchers,
+        trace_out,
+        stats: args.parsed("stats", false)?,
+    })
 }
 
 fn cmd_fleet(raw: &[String]) -> ExitCode {
@@ -660,12 +566,8 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
         Ok(a) => a,
         Err(e) => return fail(e),
     };
-    let racks = a.racks.unwrap_or(match a.servers {
-        0..=1 => 1,
-        2..=15 => 2,
-        n => n / 8,
-    });
-    let servers_per_rack = a.servers.div_ceil(racks);
+    let s = &a.scenario;
+    let (racks, servers_per_rack) = (s.racks, s.servers_per_rack);
     if racks * servers_per_rack != a.servers {
         println!(
             "note: rounding {} servers up to {} ({racks} racks × {servers_per_rack}) so every rack is full",
@@ -673,79 +575,34 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
             racks * servers_per_rack
         );
     }
-    let jobs = match synthesize_fleet_jobs(&a) {
-        Ok(j) => j,
-        Err(e) => return fail(e),
-    };
-    if let Err(e) = check_time_resolution(jobs.iter().map(|j| j.arrival), a.rate) {
-        return fail(format!("--{e}"));
+    let jobs = s.synthesize_jobs();
+    if let Err(e) = s.check_stream(&jobs, s.telemetry.is_some(), &flag_for) {
+        return fail(e.message);
     }
-    let tick = match a.control {
-        ControlSpec::Shed { tick }
-        | ControlSpec::Autoscale { tick }
-        | ControlSpec::Planner { tick, .. } => Some(tick),
-        ControlSpec::Static | ControlSpec::Setpoint(_) => None,
-    };
-    let sample = a.trace_out.is_some().then_some(a.sample);
-    for (flag, cadence) in [("tick", tick), ("sample", sample)] {
-        let Some(cadence) = cadence else { continue };
-        let ends = jobs.iter().map(|j| j.arrival + j.service);
-        if let Err(e) = check_cadence(Seconds::new(cadence), ends) {
-            return fail(format!("--{flag}: {e}"));
-        }
-    }
-
-    let mut dispatchers: Vec<Box<dyn FleetDispatcher>> = Vec::new();
-    match a.dispatcher.as_str() {
-        "all" => {
-            dispatchers.push(Box::new(RoundRobin::default()));
-            dispatchers.push(Box::new(CoolestRackFirst));
-            dispatchers.push(Box::new(ThermalAwareDispatch::default()));
-        }
-        "rr" | "round-robin" => dispatchers.push(Box::new(RoundRobin::default())),
-        "coolest" | "coolest-rack-first" => dispatchers.push(Box::new(CoolestRackFirst)),
-        "thermal" | "thermal-aware" => dispatchers.push(Box::new(ThermalAwareDispatch::default())),
-        "planned" => dispatchers.push(Box::new(PlannedDispatch)),
-        other => {
-            return fail(format!(
-                "unknown dispatcher `{other}` (use all, rr, coolest, thermal or planned)"
-            ))
-        }
-    }
-
-    let mut config = FleetConfig::new(racks, servers_per_rack);
-    config.grid_pitch_mm = a.pitch;
-    config.chiller = Chiller::new(Celsius::new(a.ambient));
-    config.policy = a.policy;
-    config.threads = a.threads;
-    config.serving = a.serving;
-    if !a.classes.is_empty() {
-        // Classes cycle across racks: rack r is entirely class r mod k.
-        let k = a.classes.len();
-        config.catalog =
-            FleetCatalog::new(a.classes.clone()).assign((0..racks).map(|r| vec![r % k]).collect());
-    }
-    let fleet = Fleet::new(config);
+    let fleet = Fleet::new(s.fleet_config());
 
     println!(
         "fleet: {racks} racks × {servers_per_rack} servers, {} jobs ({} demand, rate {} jobs/s, seed {})",
         jobs.len(),
-        if a.serving { "serving" } else { &a.demand },
-        a.rate,
-        a.seed
+        if s.serving.is_some() {
+            "serving"
+        } else {
+            s.demand.spec_name()
+        },
+        s.demand.rate(),
+        s.seed
     );
-    if !a.classes.is_empty() {
-        let summary: Vec<String> = a
+    if !s.classes.is_empty() {
+        let summary: Vec<String> = s
             .classes
             .iter()
             .map(|c| {
                 format!(
                     "{} (pitch {:.1} mm, inlet {:.1} °C, {})",
                     c.name,
-                    c.grid_pitch_mm.unwrap_or(a.pitch),
-                    c.water_inlet_c
-                        .unwrap_or_else(|| fleet.config().op.water_inlet().value()),
-                    c.policy.unwrap_or(a.policy).spec_name(),
+                    c.grid_pitch_mm.unwrap_or(s.grid_pitch_mm),
+                    c.water_inlet_c.unwrap_or(s.water_inlet_c),
+                    c.policy.unwrap_or(s.policy).spec_name(),
                 )
             })
             .collect();
@@ -753,24 +610,21 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
     }
     println!(
         "scenario: heat-recovery loop at {:.1} °C, water inlet {:.1}, {:.1} mm grid, {} warm-up threads",
-        a.ambient,
+        s.heat_reuse_c,
         fleet.config().op.water_inlet(),
-        a.pitch,
-        a.threads,
+        s.grid_pitch_mm,
+        s.threads,
     );
     println!(
         "control: {}{}\n",
-        a.control.instantiate(servers_per_rack).name(),
-        match &a.trace_out {
-            Some(dir) => format!(", telemetry every {:.0} s → {dir}/", a.sample),
-            None => String::new(),
+        s.control.instantiate().name(),
+        match (&a.trace_out, s.telemetry) {
+            (Some(dir), Some(t)) => format!(", telemetry every {:.0} s → {dir}/", t.sample_s),
+            _ => String::new(),
         }
     );
 
-    let telemetry = a.trace_out.as_ref().map(|_| TelemetryConfig {
-        sample_interval: Seconds::new(a.sample),
-        capacity: TelemetryConfig::default().capacity,
-    });
+    let telemetry = s.telemetry.map(TelemetrySpec::to_config);
     if let Some(dir) = &a.trace_out {
         if let Err(e) = std::fs::create_dir_all(dir) {
             return fail(format!("cannot create `{dir}`: {e}"));
@@ -784,8 +638,9 @@ fn cmd_fleet(raw: &[String]) -> ExitCode {
     );
     let mut peak_queue_depth = 0usize;
     let mut arena_high_water = 0usize;
-    for mut d in dispatchers {
-        let mut control = a.control.instantiate(servers_per_rack);
+    for kind in &a.dispatchers {
+        let mut d = kind.instantiate();
+        let mut control = s.control.instantiate();
         let started = std::time::Instant::now();
         match fleet.simulate_with(
             &jobs,
