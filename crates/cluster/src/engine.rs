@@ -1,7 +1,7 @@
 //! The discrete-event simulation kernel: a deterministic event queue, the
 //! mutable `FleetState` it drives, and the main loop that turns a job
 //! stream plus a [`ControlPolicy`](crate::ControlPolicy) into placements,
-//! a set-point timeline and (optionally) a telemetry trace.
+//! the energy they draw and (optionally) a telemetry trace.
 //!
 //! Everything in here is sequential and byte-deterministic: events are
 //! ordered by a stable `(time, class, seq)` key, so two runs of the same
@@ -30,9 +30,9 @@ use crate::dispatch::{
 };
 use crate::fleet::{Fleet, FleetConfig};
 use crate::job::Job;
-use crate::ledger::{PowerTally, RackLedger, TimedHeap};
+use crate::ledger::{CoolingSum, PowerTally, RackLedger, TimedHeap};
 use crate::metrics::{
-    integrate_energy, FleetSample, FleetTrace, KernelStats, LatencyHistogram, Placement,
+    FleetOutcome, FleetSample, FleetTrace, KernelStats, LatencyHistogram, Placement, RunEnergy,
     ServingOutcome, ServingSample, SimResult, TelemetryConfig,
 };
 use crate::queue::{CalendarQueue, KernelQueue, QueueStats};
@@ -48,18 +48,6 @@ use tps_workload::{Benchmark, QosClass};
 /// positive window preserves pop order (see `run_impl`); this one is
 /// large enough to keep the calendar queue's buckets well fed.
 pub const ARRIVAL_LOOKAHEAD: usize = 1024;
-
-/// Fewest racks a telemetry sample hands one cooling worker thread:
-/// below this the per-sample scoped spawn costs more than the arithmetic
-/// it parallelizes.
-const THREADED_COOLING_MIN_RACKS: usize = 1024;
-
-/// Worker threads for one telemetry sample's per-rack cooling pass: the
-/// thread budget, capped so each worker gets at least
-/// `THREADED_COOLING_MIN_RACKS` racks (1 means the pass runs inline).
-fn cooling_workers(threads: usize, racks: usize) -> usize {
-    threads.min(racks / THREADED_COOLING_MIN_RACKS).max(1)
-}
 
 /// A typed simulation event.
 ///
@@ -459,32 +447,72 @@ struct RunningRec {
     water_bits: u64,
 }
 
-/// The *running* (started, not finished) layer of the fleet, maintained
-/// lazily for telemetry and control snapshots: the running
-/// [`RackLedger`] and [`PowerTally`]. Distinct from [`RackLoads`], which
+/// A timeline change the energy integral steps through.
+#[derive(Debug)]
+pub(crate) enum Change {
+    /// A set-point change: the chiller every occupied rack is priced at.
+    Chiller(tps_cooling::Chiller),
+    /// An autoscale step: the servers whose idle floor counts.
+    Active(usize),
+}
+
+/// The *running* (started, not finished) layer of the fleet and the one
+/// place fleet power is priced. Every placement is committed here; the
+/// set folds starts and ends in time order into the running
+/// [`RackLedger`], the [`PowerTally`] and a [`CoolingSum`] of each
+/// occupied rack's chiller draw, re-pricing only the rack whose load
+/// moved. Energy is integrated as the set settles: each window between
+/// consecutive boundaries — starts, ends, set-point and activation
+/// changes, never a settle's own `now` — adds its power × dt, so the
+/// totals do not depend on how often the kernel settles. Telemetry and
+/// control read the same state. Distinct from [`RackLoads`], which
 /// tracks *committed* (running or queued) load — the quantity dispatch
 /// decisions are made against.
 #[derive(Debug)]
-struct RunningSet {
+pub(crate) struct RunningSet {
     /// Placements not yet started, earliest start first.
     starts: TimedHeap<RunningRec>,
     /// Placements started, not yet folded out, earliest end first.
     ends: TimedHeap<RunningRec>,
+    /// Timeline changes not yet integrated past. A change no placement
+    /// outlives stays here, so changes at or after the last end never
+    /// stretch the integral.
+    changes: TimedHeap<Change>,
     ledger: RackLedger,
     tally: PowerTally,
+    cooling: CoolingSum,
+    /// The chiller and active-server count in force for the open window.
+    chiller: tps_cooling::Chiller,
+    active: usize,
+    idle_power: f64,
+    /// Start of the open window; `None` before the first start.
+    since: Option<f64>,
+    energy: RunEnergy,
 }
 
 impl RunningSet {
-    fn new(racks: usize, classes: usize) -> Self {
+    pub(crate) fn new(config: &FleetConfig, classes: usize) -> Self {
         Self {
             starts: TimedHeap::default(),
             ends: TimedHeap::default(),
-            ledger: RackLedger::new(racks),
+            changes: TimedHeap::default(),
+            ledger: RackLedger::new(config.racks),
             tally: PowerTally::new(classes),
+            cooling: CoolingSum::new(config.racks),
+            chiller: config.chiller.clone(),
+            active: config.total_servers(),
+            idle_power: config.idle_server_power.value(),
+            since: None,
+            energy: RunEnergy {
+                class_it: vec![0.0; classes],
+                ..RunEnergy::default()
+            },
         }
     }
 
-    fn commit(
+    /// Schedules a placement's `[start, end)`; one with `end ≤ start`
+    /// never runs. `start` must not precede the last settle.
+    pub(crate) fn commit(
         &mut self,
         rack: usize,
         class: ClassId,
@@ -492,6 +520,9 @@ impl RunningSet {
         start: Seconds,
         end: Seconds,
     ) {
+        if end.value() <= start.value() {
+            return;
+        }
         let rec = RunningRec {
             rack,
             class,
@@ -501,19 +532,95 @@ impl RunningSet {
         };
         self.starts.push(start.value(), 0, rec);
         self.ends.push(end.value(), 0, rec);
+        self.energy.makespan = self.energy.makespan.max(end.value());
     }
 
-    /// Folds all starts, then all ends, with time ≤ `now` into the
-    /// aggregates, in `(time, insertion)` order.
+    /// Applies a timeline change at `now`, after settling to it.
+    pub(crate) fn change(&mut self, now: Seconds, change: Change) {
+        self.changes.push(now.value(), 0, change);
+        self.settle(now);
+    }
+
+    /// Walks every boundary at or before `now` in time order — at one
+    /// instant ends, then changes, then starts (a placement covers
+    /// `[start, end)`) — closing the open window at each.
     fn settle(&mut self, now: Seconds) {
-        while let Some(rec) = self.starts.pop_due(now.value()) {
-            self.ledger.add(rec.rack, rec.heat, rec.water_bits);
-            self.tally.add(rec.class, rec.power);
+        loop {
+            let end = self.ends.next_time();
+            let change = self.changes.next_time();
+            let start = self.starts.next_time();
+            let Some(t) = [end, change, start].into_iter().flatten().reduce(f64::min) else {
+                return;
+            };
+            if t > now.value() {
+                return;
+            }
+            if end == Some(t) {
+                let (_, rec) = self.ends.pop().expect("peeked");
+                self.close(t);
+                self.ledger.remove(rec.rack, rec.heat, rec.water_bits);
+                self.tally.remove(rec.class, rec.power);
+                self.price(rec.rack);
+            } else if change == Some(t) {
+                if end.is_none() && start.is_none() {
+                    return;
+                }
+                let (_, change) = self.changes.pop().expect("peeked");
+                self.close(t);
+                match change {
+                    Change::Chiller(chiller) => {
+                        self.chiller = chiller;
+                        for rack in 0..self.ledger.views().len() {
+                            self.price(rack);
+                        }
+                    }
+                    Change::Active(n) => self.active = n,
+                }
+            } else {
+                let (_, rec) = self.starts.pop().expect("peeked");
+                self.close(t);
+                self.since.get_or_insert(t);
+                self.ledger.add(rec.rack, rec.heat, rec.water_bits);
+                self.tally.add(rec.class, rec.power);
+                let heat = self.ledger.view(rec.rack).heat.value();
+                self.energy.peak_rack_heat = self.energy.peak_rack_heat.max(heat);
+                self.price(rec.rack);
+            }
         }
-        while let Some(rec) = self.ends.pop_due(now.value()) {
-            self.ledger.remove(rec.rack, rec.heat, rec.water_bits);
-            self.tally.remove(rec.class, rec.power);
+    }
+
+    /// Integrates the open window up to `t` at the power in force:
+    /// running packages plus the idle floor of active idle servers (a
+    /// scale-down below the running count leaves no floor), per class,
+    /// and the fleet's chiller draw.
+    fn close(&mut self, t: f64) {
+        let Some(since) = self.since else { return };
+        let dt = t - since;
+        if dt > 0.0 {
+            let idle = self.active.saturating_sub(self.tally.running) as f64 * self.idle_power;
+            let energy = &mut self.energy;
+            energy.it += (self.tally.power + idle) * dt;
+            for (sum, power) in energy.class_it.iter_mut().zip(&self.tally.class_power) {
+                *sum += power * dt;
+            }
+            energy.cooling += self.cooling.watts() * dt;
         }
+        self.since = Some(t);
+    }
+
+    /// Re-prices `rack` at its running heat and coldest running supply.
+    fn price(&mut self, rack: usize) {
+        let view = self.ledger.view(rack);
+        let draw = view.supply.map_or(0.0, |supply| {
+            self.chiller.electrical_power(view.heat, supply).value()
+        });
+        self.cooling.set(rack, draw);
+    }
+
+    /// Settles every remaining boundary and hands over the energy.
+    pub(crate) fn finish(mut self) -> RunEnergy {
+        self.settle(Seconds::new(f64::INFINITY));
+        self.energy
     }
 }
 
@@ -529,8 +636,6 @@ pub(crate) struct FleetState {
     /// Bumped on every chiller change; dispatch score caches key on it.
     chiller_epoch: u64,
     setpoint: Celsius,
-    /// Every set-point change, in event order (the energy timeline).
-    setpoints: Vec<(Seconds, Celsius)>,
     shedding: bool,
     shed: usize,
     violations: usize,
@@ -547,12 +652,11 @@ impl FleetState {
     ) -> Self {
         Self {
             loads,
-            running: RunningSet::new(config.racks, classes),
+            running: RunningSet::new(config, classes),
             servers,
             chiller: config.chiller.clone(),
             chiller_epoch: 0,
             setpoint: config.chiller.ambient(),
-            setpoints: Vec::new(),
             shedding: false,
             shed: 0,
             violations: 0,
@@ -566,12 +670,14 @@ impl FleetState {
         self.pending_arrivals == 0 && self.loads.total_committed() == 0
     }
 
-    /// Moves the chiller to set-point `c` at `now`.
+    /// Moves the chiller to set-point `c` at `now`, for dispatch and
+    /// for energy.
     fn set_setpoint(&mut self, config: &FleetConfig, now: Seconds, c: Celsius) {
         self.chiller = config.chiller.with_ambient(c);
         self.chiller_epoch += 1;
         self.setpoint = c;
-        self.setpoints.push((now, c));
+        let chiller = self.chiller.clone();
+        self.running.change(now, Change::Chiller(chiller));
     }
 
     /// Placed but not yet started.
@@ -754,21 +860,19 @@ fn run_impl<Q: KernelQueue + Default>(
     });
     let mut state = FleetState::new(config, solvers.len(), jobs.len(), servers, loads);
     dispatcher.begin_run();
-    // Closed-loop machinery — the running layer (telemetry's view of
-    // started-not-finished jobs) and the JobCompletion events that keep
-    // it and the tick/sample re-arming honest — costs two queue pushes
-    // and two ordered-map insertions per placement. When nothing reads
-    // it (open loop: no ticks, no telemetry) the kernel elides it: the
-    // committed layer already expires lazily at each arrival, so the
-    // event stream degenerates to arrivals only and the replay runs at
-    // the pre-kernel simulator's speed.
+    // Every placement feeds the running set, which integrates energy, and
+    // every arrival settles it, so its heaps hold only in-flight jobs.
+    // JobCompletion events exist to keep tick/sample re-arming honest and
+    // to record the drained fleet; when nothing reads them (open loop: no
+    // ticks, no telemetry) the kernel elides them, and the event stream
+    // degenerates to arrivals only.
     let closed_loop = telemetry.is_some() || tick.is_some();
     let mut placements: Vec<Placement> = Vec::with_capacity(jobs.len());
     // Serving mode: per-request latency (dispatch wait + runtime, known
     // at placement time) feeds two integer-bucket sketches — the whole
     // run for reported percentiles, plus a per-tick window the
-    // autoscaler reads and clears. The active-server timeline mirrors
-    // the set-point timeline into the energy integration.
+    // autoscaler reads and clears. The active-server timeline feeds the
+    // serving summary; the running set integrates the idle floor.
     let serving = config.serving;
     let mut latency_all = LatencyHistogram::default();
     let mut latency_window = LatencyHistogram::default();
@@ -786,18 +890,11 @@ fn run_impl<Q: KernelQueue + Default>(
     let mut class_scratch: Vec<ClassDemand> = Vec::with_capacity(solvers.len());
 
     while let Some((now, event)) = queue.pop() {
+        let drains = matches!(event, Event::JobCompletion { .. } | Event::JobArrival(_));
         match event {
             Event::JobCompletion { .. } => {
                 state.loads.expire_until(now);
                 state.running.settle(now);
-                // The trace ends exactly at the makespan: record the
-                // drained fleet once, at the event that drains it.
-                if state.done() && !final_sampled {
-                    if let Some(trace) = trace.as_mut() {
-                        trace.push(sample(&state, now, config, serving.then_some(&latency_all)));
-                        final_sampled = true;
-                    }
-                }
             }
             Event::SetpointChange(c) => state.set_setpoint(config, now, c),
             Event::ControlTick => {
@@ -831,6 +928,7 @@ fn run_impl<Q: KernelQueue + Default>(
                                 let actual = state.servers.set_active_servers(n);
                                 if actual != prev {
                                     activations.push((now, actual));
+                                    state.running.change(now, Change::Active(actual));
                                 }
                             }
                         }
@@ -853,7 +951,7 @@ fn run_impl<Q: KernelQueue + Default>(
                     queue.push(now + t.sample_interval, Event::TelemetrySample);
                 }
             }
-            Event::JobArrival(ji) => {
+            Event::JobArrival(ji) => 'arrival: {
                 // Stream the next arrival in to replace this one, keeping
                 // the lookahead window full until the stream runs dry.
                 if next_arrival < order.len() {
@@ -864,25 +962,10 @@ fn run_impl<Q: KernelQueue + Default>(
                 let job = &jobs[ji];
                 state.pending_arrivals -= 1;
                 state.loads.expire_until(now);
+                state.running.settle(now);
                 if state.shedding {
                     state.shed += 1;
-                    // A run can end on a shed arrival (everything placed
-                    // has finished, the rest of the stream is dropped):
-                    // the final trace row must still carry the final shed
-                    // count, so the drained-fleet sample records here too.
-                    if state.done() && !final_sampled {
-                        if let Some(trace) = trace.as_mut() {
-                            state.running.settle(now);
-                            trace.push(sample(
-                                &state,
-                                now,
-                                config,
-                                serving.then_some(&latency_all),
-                            ));
-                            final_sampled = true;
-                        }
-                    }
-                    continue;
+                    break 'arrival;
                 }
                 // The job's demand on every catalog class: the same
                 // workload runs hotter (or slower) on one hardware bin
@@ -962,8 +1045,8 @@ fn run_impl<Q: KernelQueue + Default>(
                 });
                 state.loads.add(rack, &steady, end);
                 state.servers.set_free_at(placed, end);
+                state.running.commit(rack, class, &steady, start, end);
                 if closed_loop {
-                    state.running.commit(rack, class, &steady, start, end);
                     queue.push(
                         end,
                         Event::JobCompletion {
@@ -974,18 +1057,26 @@ fn run_impl<Q: KernelQueue + Default>(
                 }
             }
         }
+        // The trace ends exactly at the makespan: record the drained fleet
+        // once, at the event that drains it — a completion, or a shed
+        // arrival when the run ends on one (its row must carry the final
+        // shed count). Both settled the running set to `now`.
+        if drains && state.done() && !final_sampled {
+            if let Some(trace) = trace.as_mut() {
+                trace.push(sample(&state, now, config, serving.then_some(&latency_all)));
+                final_sampled = true;
+            }
+        }
     }
 
     let qstats = queue.stats();
-    let mut outcome = integrate_energy(
+    let mut outcome = FleetOutcome::new(
         dispatcher.name(),
         control.name(),
         placements,
         state.shed,
-        config,
-        &fleet.class_names(),
-        &state.setpoints,
-        &activations,
+        fleet.class_names(),
+        state.running.finish(),
     );
     if serving {
         // Time-weighted mean of the active-server timeline over the run,
@@ -1056,55 +1147,20 @@ fn hinted_server(
     (wait.value() <= demand.class(hint.class).wait_budget.value() + 1e-9).then_some(server)
 }
 
-/// Each rack's chiller electrical power at its settled running heat and
-/// coldest running supply (left at `0.0` for racks with no supply — the
-/// caller's sequential sum skips those).
-fn cooling_chunk(views: &[RackView], chiller: &tps_cooling::Chiller, out: &mut [f64]) {
-    for (view, c) in views.iter().zip(out) {
-        if let Some(supply) = view.supply {
-            *c = chiller.electrical_power(view.heat, supply).value();
-        }
-    }
-}
-
-/// Captures one telemetry sample from the settled running layer. In
-/// serving mode `latency` carries the whole-run percentile sketch and the
-/// sample gains the active-server count and latency quantiles.
+/// Captures one telemetry sample from the settled running set: its rack
+/// views, power tally and exact fleet cooling draw. In serving mode
+/// `latency` carries the whole-run percentile sketch and the sample gains
+/// the active-server count and latency quantiles.
 fn sample(
     state: &FleetState,
     now: Seconds,
     config: &FleetConfig,
     latency: Option<&LatencyHistogram>,
 ) -> FleetSample {
-    let tally = &state.running.tally;
-    let views = state.running.ledger.views();
+    let running = &state.running;
+    let (tally, views) = (&running.tally, running.ledger.views());
     let idle = state.servers.active_servers().saturating_sub(tally.running) as f64
         * config.idle_server_power.value();
-    // Two-pass cooling: per-rack chiller power first (each rack's value
-    // is independent, so workers fill contiguous rack ranges), then one
-    // *sequential* rack-order sum — the same accumulation order at any
-    // thread count, so the fan-out can never perturb a bit of the trace.
-    // The thread budget is shared with sweep workers (see
-    // `thread_budget`).
-    let mut rack_cooling = vec![0.0f64; views.len()];
-    let workers = cooling_workers(config.threads, views.len());
-    let chiller = &state.chiller;
-    if workers > 1 {
-        let per = views.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            for (v, c) in views.chunks(per).zip(rack_cooling.chunks_mut(per)) {
-                s.spawn(move || cooling_chunk(v, chiller, c));
-            }
-        });
-    } else {
-        cooling_chunk(views, chiller, &mut rack_cooling);
-    }
-    let mut cooling = 0.0;
-    for (view, c) in views.iter().zip(&rack_cooling) {
-        if view.supply.is_some() {
-            cooling += c;
-        }
-    }
     FleetSample {
         t: now,
         setpoint: state.setpoint,
@@ -1113,7 +1169,7 @@ fn sample(
         shed: state.shed,
         violations: state.violations,
         it_power: Watts::new(tally.power + idle),
-        cooling_power: Watts::new(cooling),
+        cooling_power: Watts::new(running.cooling.watts()),
         rack_heat: views.iter().map(|v| v.heat).collect(),
         rack_water: views.iter().map(|v| v.supply).collect(),
         class_running: tally.class_running.clone(),
@@ -1130,21 +1186,6 @@ fn sample(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cooling_workers_get_at_least_the_minimum_racks_each() {
-        let min = THREADED_COOLING_MIN_RACKS;
-        // A huge thread budget on a big fleet: capped by the racks.
-        assert_eq!(cooling_workers(1_000_000, 12_500), 12);
-        assert_eq!(cooling_workers(usize::MAX, 12_500), 12_500 / min);
-        // A small budget is spent in full once each worker has its share.
-        assert_eq!(cooling_workers(2, 12_500), 2);
-        assert_eq!(cooling_workers(8, 8 * min), 8);
-        // Below two workers' worth of racks the pass runs inline.
-        assert_eq!(cooling_workers(8, 2 * min - 1), 1);
-        assert_eq!(cooling_workers(8, 0), 1);
-        assert_eq!(cooling_workers(0, 12_500), 1);
-    }
 
     #[test]
     fn queue_orders_by_time_then_class_then_push_order() {
@@ -1280,7 +1321,7 @@ mod tests {
 
     #[test]
     fn running_set_settles_starts_before_ends_and_pins_zero() {
-        let mut run = RunningSet::new(1, 2);
+        let mut run = RunningSet::new(&FleetConfig::new(1, 1), 2);
         let state = |heat: f64| SteadyState {
             package_power: Watts::new(heat),
             heat: Watts::new(heat),

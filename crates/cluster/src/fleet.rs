@@ -101,12 +101,11 @@ pub struct FleetConfig {
     pub idle_server_power: Watts,
     /// Fleet-wide default mapping policy. Classes may override it.
     pub policy: PolicyId,
-    /// OS threads for the cache warm-up phase and for the per-rack
-    /// cooling pass of each telemetry sample (fanned out only on fleets
-    /// of 1024 racks or more). Thread count never changes simulation
-    /// results, only wall time; callers nesting simulations inside their
-    /// own worker pool should derive this via [`thread_budget`] so the
-    /// two levels never oversubscribe.
+    /// OS threads for the cache warm-up phase, the only threaded phase of
+    /// a run. Thread count never changes simulation results, only wall
+    /// time; callers nesting simulations inside their own worker pool
+    /// should derive this via [`thread_budget`] so the two levels never
+    /// oversubscribe.
     pub threads: usize,
     /// The server catalog: which hardware class sits in each rack slot.
     /// The default [`FleetCatalog::uniform`] is one fully inheriting
@@ -173,8 +172,8 @@ impl FleetConfig {
 /// each worker may use internally so the two levels of parallelism never
 /// oversubscribe the machine. The scenario sweep hands each grid worker
 /// `thread_budget(threads, workers)` for its per-point simulations
-/// (warm-up and telemetry fan-out); a single foreground run is the `outer = 1`
-/// case and keeps the whole budget. Never returns zero.
+/// (their warm-up); a single foreground run is the `outer = 1` case and
+/// keeps the whole budget. Never returns zero.
 pub fn thread_budget(total: usize, outer: usize) -> usize {
     (total / outer.max(1)).max(1)
 }

@@ -1,6 +1,6 @@
 //! The rack ledger: the one home of the rack heat/water/pin-to-zero rule,
-//! plus the fleet/per-class power tally and the `(time, rank, seq)`
-//! min-heap the kernel's timed streams share.
+//! plus the fleet/per-class power tally, the exact fleet cooling sum and
+//! the `(time, rank, seq)` min-heap the kernel's timed streams share.
 
 use crate::catalog::ClassId;
 use crate::dispatch::RackView;
@@ -21,15 +21,14 @@ use tps_units::{Celsius, Watts};
 /// * a rack whose last job leaves is pinned back to exact `0.0` heat, so
 ///   float residue never perturbs a later comparison or energy window.
 ///
-/// Three instances exist: the kernel's *committed* view inside
+/// Two instances exist: the kernel's *committed* view inside
 /// [`RackLoads`](crate::RackLoads) (running or queued placements — what
-/// dispatch scores against), its *running* view (started, not finished —
-/// telemetry and control samples) and the *energy* view
-/// (`integrate_energy`'s post-run sweep). Each caller feeds the ledger in
-/// its own event order, and every operation here is the same float
-/// operation in the same order whichever caller drives it: keeping each
-/// caller's order is what keeps every outcome, golden table and trace
-/// bit-identical.
+/// dispatch scores against) and its *running* view (started, not
+/// finished — what telemetry samples and energy is priced from). Each
+/// caller feeds the ledger in its own event order, and every operation
+/// here is the same float operation in the same order whichever caller
+/// drives it: keeping each caller's order is what keeps every outcome,
+/// golden table and trace bit-identical.
 #[derive(Debug)]
 pub(crate) struct RackLedger {
     /// Raw per-rack heat sums (may carry float residue while occupied).
@@ -112,9 +111,11 @@ impl RackLedger {
 }
 
 /// Running jobs and their summed package power, fleet-wide and per class;
-/// a sum whose last job leaves is pinned back to exact `0.0`. Shared by
-/// the kernel's running set and `integrate_energy`. The per-class sums
-/// never feed the fleet-wide one.
+/// a sum whose last job leaves is pinned back to exact `0.0`. Plain f64
+/// sums: the kernel's running set folds them in one fixed order (time,
+/// then ends before starts, then placement order), which is what makes
+/// their bits reproducible. The per-class sums never feed the fleet-wide
+/// one.
 #[derive(Debug)]
 pub(crate) struct PowerTally {
     pub(crate) running: usize,
@@ -150,6 +151,69 @@ impl PowerTally {
         }
         if self.running == 0 {
             self.power = 0.0;
+        }
+    }
+}
+
+/// One watt in [`CoolingSum`] units (2⁶⁴ per watt).
+const UNITS_PER_WATT: f64 = 18_446_744_073_709_551_616.0;
+
+/// The fleet's chiller draw as an exact sum. Each rack's f64 draw is held
+/// as a whole count of 2⁻⁶⁴ W — exact for every draw of 2⁻¹¹ W and up —
+/// so the total is the same integer whatever order racks are re-priced
+/// in, is rounded to f64 only when read, and reads exactly 0 once every
+/// rack drains.
+#[derive(Debug)]
+pub(crate) struct CoolingSum {
+    racks: Vec<i128>,
+    total: i128,
+    /// The largest rack draw held, in units: `i128::MAX / (racks + 1)`,
+    /// so every rack at the cap still sums without overflow — about
+    /// 7 × 10¹⁴ W per rack on 12,500 racks, reached only by set-points
+    /// far beyond any physical chiller.
+    cap: f64,
+    /// Racks whose draw is non-finite or past `cap`; while any is, the
+    /// total reads infinite.
+    beyond: usize,
+}
+
+impl CoolingSum {
+    /// Marks a rack counted in `beyond` instead of `total`.
+    const BEYOND: i128 = i128::MIN;
+
+    pub(crate) fn new(racks: usize) -> Self {
+        Self {
+            racks: vec![0; racks],
+            total: 0,
+            cap: (i128::MAX / (racks as i128 + 1)) as f64,
+            beyond: 0,
+        }
+    }
+
+    /// Replaces `rack`'s draw with `watts`.
+    pub(crate) fn set(&mut self, rack: usize, watts: f64) {
+        let units = watts * UNITS_PER_WATT;
+        let units = if units < self.cap {
+            units as i128
+        } else {
+            Self::BEYOND
+        };
+        match std::mem::replace(&mut self.racks[rack], units) {
+            Self::BEYOND => self.beyond -= 1,
+            old => self.total -= old,
+        }
+        match units {
+            Self::BEYOND => self.beyond += 1,
+            new => self.total += new,
+        }
+    }
+
+    /// The fleet total in watts, rounded once.
+    pub(crate) fn watts(&self) -> f64 {
+        if self.beyond > 0 {
+            f64::INFINITY
+        } else {
+            self.total as f64 / UNITS_PER_WATT
         }
     }
 }
@@ -254,6 +318,31 @@ mod tests {
         assert!(ledger.remove(0, 0.1, 80f64.to_bits()));
         assert_eq!(ledger.view(0).heat.value().to_bits(), 0);
         assert!(ledger.water[0].is_empty());
+    }
+
+    #[test]
+    fn cooling_sum_is_exact_in_any_order_and_drains_to_zero() {
+        // Draws whose f64 sum depends on the order they are added in.
+        let draws = [0.1, 0.2, 0.3, 1e9 / 3.0, 7e-5, 1e11 / 7.0];
+        let fold = |order: &[usize]| order.iter().fold(0.0, |s, &r| s + draws[r]);
+        let read = |order: &[usize]| {
+            let mut sum = CoolingSum::new(draws.len());
+            for &r in order {
+                sum.set(r, draws[r]);
+            }
+            sum.watts()
+        };
+        let (up, down) = ([0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]);
+        assert_ne!(fold(&up).to_bits(), fold(&down).to_bits());
+        assert_eq!(read(&up).to_bits(), read(&down).to_bits());
+        let mut sum = CoolingSum::new(2);
+        sum.set(0, 0.1);
+        sum.set(1, f64::INFINITY);
+        assert_eq!(sum.watts(), f64::INFINITY);
+        sum.set(1, 0.2);
+        sum.set(0, 0.0);
+        sum.set(1, 0.0);
+        assert_eq!(sum.watts().to_bits(), 0);
     }
 
     proptest! {

@@ -1,10 +1,9 @@
-//! Aggregate fleet metrics: energy integration over the event timeline,
-//! and the time-series telemetry the kernel samples along the way.
+//! Aggregate fleet metrics: a run's outcome — the energy the kernel's
+//! running set integrated plus the wait and QoS statistics of its
+//! placements — and the time-series telemetry sampled along the way.
 
 use crate::cache::SteadyState;
 use crate::catalog::ClassId;
-use crate::fleet::FleetConfig;
-use crate::ledger::{PowerTally, RackLedger};
 use std::collections::VecDeque;
 use tps_cooling::pue;
 use tps_units::{Celsius, Joules, Seconds, Watts};
@@ -207,7 +206,58 @@ pub struct FleetOutcome {
     pub serving: Option<ServingOutcome>,
 }
 
+/// The energy a run's running set integrated from its first start to its
+/// last end, in joules (watts for the peak).
+#[derive(Debug, Default)]
+pub(crate) struct RunEnergy {
+    /// End of the last execution.
+    pub(crate) makespan: f64,
+    pub(crate) it: f64,
+    pub(crate) cooling: f64,
+    pub(crate) class_it: Vec<f64>,
+    pub(crate) peak_rack_heat: f64,
+}
+
 impl FleetOutcome {
+    /// A run's outcome: `energy` as integrated, plus the wait, violation
+    /// and per-class counts of its placements.
+    pub(crate) fn new(
+        dispatcher: &'static str,
+        control: &'static str,
+        placements: Vec<Placement>,
+        shed: usize,
+        class_names: Vec<String>,
+        energy: RunEnergy,
+    ) -> Self {
+        let waits = placements.iter().map(|p| p.wait);
+        let mean_wait = waits.clone().sum::<Seconds>() / placements.len().max(1) as f64;
+        let max_wait = waits.fold(Seconds::ZERO, Seconds::max);
+        let mut class_violations = vec![0usize; class_names.len()];
+        let mut class_placements = vec![0usize; class_names.len()];
+        for p in &placements {
+            class_placements[p.class] += 1;
+            class_violations[p.class] += usize::from(p.violated);
+        }
+        Self {
+            dispatcher,
+            control,
+            violations: class_violations.iter().sum(),
+            placements,
+            makespan: Seconds::new(energy.makespan),
+            it_energy: Joules::new(energy.it),
+            cooling_energy: Joules::new(energy.cooling),
+            shed,
+            mean_wait,
+            max_wait,
+            peak_rack_heat: Watts::new(energy.peak_rack_heat),
+            class_names,
+            class_it_energy: energy.class_it.into_iter().map(Joules::new).collect(),
+            class_violations,
+            class_placements,
+            serving: None,
+        }
+    }
+
     /// IT plus cooling energy.
     pub fn total_energy(&self) -> Joules {
         self.it_energy + self.cooling_energy
@@ -523,283 +573,10 @@ impl FleetTrace {
     }
 }
 
-/// Integrates fleet power over the piecewise-constant event timeline.
-///
-/// Between consecutive placement starts/ends nothing changes, so each
-/// interval contributes `power × dt`: per rack, the chiller electricity of
-/// the interval's heat at the interval's shared water temperature
-/// (minimum of the co-hosted jobs' tolerable maxima); fleet-wide, the
-/// active packages plus the idle floor of unoccupied servers. Set-point
-/// changes from the control timeline swap the chiller between windows
-/// (an empty timeline reproduces the fixed-chiller integration exactly,
-/// bit for bit). Activation changes from the autoscale timeline move the
-/// idle-floor base between windows: only *active* unoccupied servers burn
-/// idle power, while servers still draining a placement keep their active
-/// package power regardless (an empty activation timeline reproduces the
-/// full-fleet idle floor exactly).
-pub(crate) fn integrate_energy(
-    dispatcher: &'static str,
-    control: &'static str,
-    placements: Vec<Placement>,
-    shed: usize,
-    config: &FleetConfig,
-    class_names: &[String],
-    setpoints: &[(Seconds, Celsius)],
-    activations: &[(Seconds, usize)],
-) -> FleetOutcome {
-    // One +/− event per placement boundary, swept in time order so each
-    // window is O(racks) instead of O(placements): removals before
-    // set-point changes before additions at equal times (a placement
-    // covers `[start, end)`), then a fixed (rack, kind) order so float
-    // accumulation is deterministic. Rack state lives in the energy
-    // `RackLedger`, running power in a `PowerTally`.
-    const REMOVE: u8 = 0;
-    const SETPOINT: u8 = 1;
-    const ACTIVATION: u8 = 2;
-    const ADD: u8 = 3;
-    struct Event {
-        time: f64,
-        kind: u8,
-        rack: usize,
-        class: ClassId,
-        heat: f64,
-        // Tolerable-water key: `to_bits` is monotone for the non-negative
-        // temperatures in play, and round-trips the exact f64.
-        water_bits: u64,
-        power: f64,
-        // Position in the pre-sort event vector: makes the sort key total,
-        // so an in-place unstable sort reproduces the stable order (same
-        // float accumulation, bit for bit) without the stable sort's
-        // half-array scratch allocation.
-        seq: u32,
-    }
-    // Two streams instead of one flat vector: removals (always arriving
-    // out of order — ends are starts plus varying runtimes) and everything
-    // else (starts usually arrive already in time order, plus the rare
-    // set-point/activation changes). The kinds never overlap across the
-    // streams, so a two-pointer merge under the same `(time, kind, rack,
-    // seq)` key replays the single-vector sort exactly — while only the
-    // 1M-element removal stream ever pays for a full sort.
-    let mut others: Vec<Event> = Vec::with_capacity(placements.len() + setpoints.len());
-    let mut removes: Vec<Event> = Vec::with_capacity(placements.len());
-    for p in &placements {
-        if p.end.value() > p.start.value() {
-            let make = |time: f64, kind: u8, seq: u32| Event {
-                time,
-                kind,
-                rack: p.rack,
-                class: p.class,
-                heat: p.state.heat.value(),
-                water_bits: p.state.max_water_temp.value().to_bits(),
-                power: p.state.package_power.value(),
-                seq,
-            };
-            others.push(make(p.start.value(), ADD, others.len() as u32));
-            removes.push(make(p.end.value(), REMOVE, removes.len() as u32));
-        }
-    }
-    let first_start = others.iter().map(|e| e.time).fold(f64::INFINITY, f64::min);
-    let last_end = removes.iter().map(|e| e.time).fold(0.0f64, f64::max);
-    // A timeline change: set-points carry their temperature bits in
-    // `water_bits`, activations their server count in `rack`.
-    let change = |time: Seconds, kind: u8, rack: usize, water_bits: u64, seq: usize| Event {
-        time: time.value(),
-        kind,
-        rack,
-        class: 0,
-        heat: 0.0,
-        water_bits,
-        power: 0.0,
-        seq: seq as u32,
-    };
-    // The chiller in force when integration starts is the last set-point
-    // at or before the first placement start; changes strictly inside
-    // the timeline become events. Changes at/after the last end are
-    // irrelevant (and must not stretch the idle-floor integration).
-    let mut chiller = config.chiller.clone();
-    for &(t, c) in setpoints {
-        if t.value() <= first_start {
-            chiller = config.chiller.with_ambient(c);
-        } else if t.value() < last_end {
-            others.push(change(t, SETPOINT, 0, c.value().to_bits(), others.len()));
-        }
-    }
-    // The active-server count in force at integration start, likewise.
-    let mut active = config.total_servers();
-    for &(t, n) in activations {
-        if t.value() <= first_start {
-            active = n;
-        } else if t.value() < last_end {
-            others.push(change(t, ACTIVATION, n, 0, others.len()));
-        }
-    }
-    // Per-stream seq indices replay the flat-vector tie-break: seq only
-    // ever compares events of equal `(time, kind, rack)`, which always
-    // live in the same stream, and each stream preserves build order.
-    let by_key = |a: &Event, b: &Event| {
-        a.time
-            .total_cmp(&b.time)
-            .then(a.kind.cmp(&b.kind))
-            .then(a.rack.cmp(&b.rack))
-            .then(a.seq.cmp(&b.seq))
-    };
-    if !others
-        .windows(2)
-        .all(|w| by_key(&w[0], &w[1]) != std::cmp::Ordering::Greater)
-    {
-        others.sort_unstable_by(by_key);
-    }
-    removes.sort_unstable_by(by_key);
-    let makespan = last_end;
-
-    let n_classes = class_names.len().max(1);
-    let mut it = 0.0;
-    let mut cooling = 0.0;
-    let mut peak_rack_heat = 0.0f64;
-    let mut ledger = RackLedger::new(config.racks);
-    let mut tally = PowerTally::new(n_classes);
-    // Per-rack cached chiller draw and the chiller era it was priced in
-    // (`STALE` once the rack's load moves), packed side by side for the
-    // window walk below.
-    const STALE: u64 = u64::MAX;
-    let mut drawn = vec![(0.0f64, STALE); config.racks];
-    let mut class_it = vec![0.0f64; n_classes];
-    // Only racks with committed water contribute cooling (and drained
-    // racks are pinned to exactly 0.0 heat, so they can't move the peak
-    // either): the window body walks the occupied set, ascending by rack
-    // so the float accumulation order matches the full 0..racks scan it
-    // replaces. Each rack's chiller draw is cached and recomputed only
-    // when its load or the chiller (era) moved — the same pure
-    // expression either way, so the cached value is bit-identical.
-    // A sorted vector, not a BTreeSet: the per-window walk dominates this
-    // sweep, and a contiguous ascending scan is both faster and exactly
-    // the same visit order (so the same float accumulation).
-    let mut occupied: Vec<u32> = Vec::new();
-    let mut era = 0u64;
-    let (mut ri, mut oi) = (0usize, 0usize);
-    // The head of the merged stream. Removals sort before every other
-    // kind at equal times (REMOVE is the smallest kind), so the min of
-    // the two stream heads is always the global head.
-    let next_time = |ri: usize, oi: usize| match (removes.get(ri), others.get(oi)) {
-        (Some(r), Some(o)) => Some(r.time.min(o.time)),
-        (Some(r), None) => Some(r.time),
-        (None, Some(o)) => Some(o.time),
-        (None, None) => None,
-    };
-    while let Some(t) = next_time(ri, oi) {
-        while ri < removes.len() && removes[ri].time == t {
-            let e = &removes[ri];
-            tally.remove(e.class, e.power);
-            if ledger.remove(e.rack, e.heat, e.water_bits) {
-                if let Ok(at) = occupied.binary_search(&(e.rack as u32)) {
-                    occupied.remove(at);
-                }
-            }
-            drawn[e.rack].1 = STALE;
-            ri += 1;
-        }
-        while oi < others.len() && others[oi].time == t {
-            let e = &others[oi];
-            match e.kind {
-                SETPOINT => {
-                    chiller = config
-                        .chiller
-                        .with_ambient(Celsius::new(f64::from_bits(e.water_bits)));
-                    era += 1;
-                }
-                ACTIVATION => {
-                    active = e.rack;
-                }
-                _ => {
-                    tally.add(e.class, e.power);
-                    if ledger.add(e.rack, e.heat, e.water_bits) {
-                        if let Err(at) = occupied.binary_search(&(e.rack as u32)) {
-                            occupied.insert(at, e.rack as u32);
-                        }
-                    }
-                    // The running max only ever grows at additions (heat
-                    // is non-negative and drains pin back to zero), so
-                    // observing it here instead of once per window sees
-                    // every candidate the window walk saw — same max,
-                    // without the per-window pass.
-                    peak_rack_heat = peak_rack_heat.max(ledger.view(e.rack).heat.value());
-                    drawn[e.rack].1 = STALE;
-                }
-            }
-            oi += 1;
-        }
-        let Some(next) = next_time(ri, oi) else { break };
-        let dt = next - t;
-        if dt <= 0.0 {
-            continue;
-        }
-        // Draining servers past a scale-down outnumbering `active` is
-        // fine: their package power is in the tally and no idle
-        // floor remains.
-        let idle = active.saturating_sub(tally.running) as f64 * config.idle_server_power.value();
-        it += (tally.power + idle) * dt;
-        for (sum, power) in class_it.iter_mut().zip(&tally.class_power) {
-            *sum += power * dt;
-        }
-        for &r in &occupied {
-            let (power, priced) = &mut drawn[r as usize];
-            if *priced != era {
-                let view = ledger.view(r as usize);
-                let supply = view.supply.expect("occupied racks have committed water");
-                *power = chiller.electrical_power(view.heat, supply).value();
-                *priced = era;
-            }
-            cooling += *power * dt;
-        }
-    }
-
-    let makespan = Seconds::new(makespan);
-    let n = placements.len();
-    let mean_wait = if n == 0 {
-        Seconds::ZERO
-    } else {
-        placements.iter().map(|p| p.wait).sum::<Seconds>() / n as f64
-    };
-    let max_wait = placements
-        .iter()
-        .map(|p| p.wait)
-        .fold(Seconds::ZERO, Seconds::max);
-    let violations = placements.iter().filter(|p| p.violated).count();
-    let mut class_violations = vec![0usize; n_classes];
-    let mut class_placements = vec![0usize; n_classes];
-    for p in &placements {
-        class_placements[p.class] += 1;
-        if p.violated {
-            class_violations[p.class] += 1;
-        }
-    }
-    FleetOutcome {
-        dispatcher,
-        control,
-        placements,
-        makespan,
-        it_energy: Joules::new(it),
-        cooling_energy: Joules::new(cooling),
-        violations,
-        shed,
-        mean_wait,
-        max_wait,
-        peak_rack_heat: Watts::new(peak_rack_heat),
-        class_names: if class_names.is_empty() {
-            vec!["default".to_owned()]
-        } else {
-            class_names.to_vec()
-        },
-        class_it_energy: class_it.into_iter().map(Joules::new).collect(),
-        class_violations,
-        class_placements,
-        serving: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Change, RunningSet};
     use crate::fleet::FleetConfig;
     use tps_units::Celsius;
 
@@ -838,8 +615,34 @@ mod tests {
         vec!["default".to_owned()]
     }
 
+    /// Feeds `placements` to the kernel's running set, applies the
+    /// set-point and activation timelines at their times, and assembles
+    /// the outcome — the kernel's energy path without the event loop.
+    fn integrate_with(
+        placements: Vec<Placement>,
+        cfg: &FleetConfig,
+        control: &'static str,
+        setpoints: &[(Seconds, Celsius)],
+        activations: &[(Seconds, usize)],
+    ) -> FleetOutcome {
+        let mut run = RunningSet::new(cfg, 1);
+        for p in &placements {
+            run.commit(p.rack, p.class, &p.state, p.start, p.end);
+        }
+        let mut changes: Vec<(Seconds, Change)> = setpoints
+            .iter()
+            .map(|&(t, c)| (t, Change::Chiller(cfg.chiller.with_ambient(c))))
+            .chain(activations.iter().map(|&(t, n)| (t, Change::Active(n))))
+            .collect();
+        changes.sort_by(|a, b| a.0.value().total_cmp(&b.0.value()));
+        for (t, change) in changes {
+            run.change(t, change);
+        }
+        FleetOutcome::new("test", control, placements, 0, names(), run.finish())
+    }
+
     fn integrate(placements: Vec<Placement>, cfg: &FleetConfig) -> FleetOutcome {
-        integrate_energy("test", "static", placements, 0, cfg, &names(), &[], &[])
+        integrate_with(placements, cfg, "static", &[], &[])
     }
 
     #[test]
@@ -914,13 +717,10 @@ mod tests {
         let cfg = tiny_config();
         let job = state(70.0, 60.0);
         let fixed = integrate(vec![placement(0, 0, 0.0, 10.0, job)], &cfg);
-        let stepped = integrate_energy(
-            "test",
-            "setpoint",
+        let stepped = integrate_with(
             vec![placement(0, 0, 0.0, 10.0, job)],
-            0,
             &cfg,
-            &names(),
+            "setpoint",
             &[(Seconds::new(5.0), Celsius::new(40.0))],
             &[],
         );
@@ -950,13 +750,10 @@ mod tests {
     fn setpoints_before_the_first_start_set_the_initial_chiller() {
         let cfg = tiny_config();
         let job = state(70.0, 60.0);
-        let programmed = integrate_energy(
-            "test",
-            "setpoint",
+        let programmed = integrate_with(
             vec![placement(0, 0, 10.0, 20.0, job)],
-            0,
             &cfg,
-            &names(),
+            "setpoint",
             &[(Seconds::ZERO, Celsius::new(40.0))],
             &[],
         );
@@ -971,13 +768,10 @@ mod tests {
     fn setpoints_past_the_makespan_are_ignored() {
         let cfg = tiny_config();
         let job = state(50.0, 80.0);
-        let out = integrate_energy(
-            "test",
-            "setpoint",
+        let out = integrate_with(
             vec![placement(0, 0, 0.0, 10.0, job)],
-            0,
             &cfg,
-            &names(),
+            "setpoint",
             &[(Seconds::new(10.0), Celsius::new(40.0))],
             &[],
         );
@@ -1094,13 +888,10 @@ mod tests {
         let run = vec![placement(0, 0, 0.0, 10.0, state(50.0, 80.0))];
         let full = integrate(run.clone(), &cfg);
         // Deactivate the second server from t = 5: its idle power stops.
-        let scaled = integrate_energy(
-            "test",
-            "autoscale",
+        let scaled = integrate_with(
             run.clone(),
-            0,
             &cfg,
-            &names(),
+            "autoscale",
             &[],
             &[(Seconds::new(5.0), 1)],
         );
@@ -1113,16 +904,7 @@ mod tests {
 
         // A pre-start activation sets the initial count; draining jobs on
         // deactivated servers never produce a negative idle floor.
-        let drained = integrate_energy(
-            "test",
-            "autoscale",
-            run,
-            0,
-            &cfg,
-            &names(),
-            &[],
-            &[(Seconds::ZERO, 0)],
-        );
+        let drained = integrate_with(run, &cfg, "autoscale", &[], &[(Seconds::ZERO, 0)]);
         assert!((drained.it_energy.value() - 500.0).abs() < 1e-9);
     }
 }

@@ -101,12 +101,16 @@ fn bursty_demand_runs_end_to_end() {
     assert!(out.placements.iter().all(|p| p.rack < 2 && p.server < 8));
 }
 
-/// The PR-2 heat-reuse dispatcher table, bit for bit: these eight-byte
-/// patterns were captured from the pre-kernel simulator (the monolithic
-/// arrival loop) on the shipped heat-reuse scenario. The event kernel
-/// under `StaticControl` must reproduce every one of them exactly — a
-/// refactor that perturbs even the last mantissa bit of any energy sum,
-/// wait statistic or makespan fails here.
+/// The heat-reuse dispatcher table, bit for bit, on the shipped
+/// heat-reuse scenario under `StaticControl`. Violations, makespan, the
+/// wait statistics, IT energy and peak rack heat are still the patterns
+/// the pre-kernel simulator (the monolithic arrival loop) produced.
+/// Cooling energy comes from the kernel's running set, which integrates
+/// inside the event loop and holds the fleet's chiller draw as an exact
+/// fixed-point sum rounded once per window. A refactor that perturbs
+/// even the last mantissa bit of any energy sum, wait statistic or
+/// makespan fails here; `energy_matches_a_double_double_reference`
+/// (`tests/energy.rs`) bounds how accurate the energy sums are.
 #[test]
 fn static_control_reproduces_the_pre_kernel_heat_reuse_table_bit_for_bit() {
     // (dispatcher, it_energy, cooling_energy, violations, makespan,
@@ -115,7 +119,7 @@ fn static_control_reproduces_the_pre_kernel_heat_reuse_table_bit_for_bit() {
         (
             "round-robin",
             0x411a6e67f13ee294,
-            0x40e04a2fc1efee66,
+            0x40e04a2fc1efee6a,
             17,
             0x40966f404dc0f570,
             0x40187afc832dbc2d,
@@ -125,7 +129,7 @@ fn static_control_reproduces_the_pre_kernel_heat_reuse_table_bit_for_bit() {
         (
             "coolest-rack-first",
             0x411a6e67f13ee29a,
-            0x40de2e0215b9b448,
+            0x40de2e0215b9b441,
             8,
             0x40966f404dc0f570,
             0x40017c4b0482ad2d,
@@ -135,7 +139,7 @@ fn static_control_reproduces_the_pre_kernel_heat_reuse_table_bit_for_bit() {
         (
             "thermal-aware",
             0x411a6e67f13ee294,
-            0x40db498d234b79ed,
+            0x40db498d234b79df,
             3,
             0x40966f404dc0f570,
             0x3fee0a0f56d3349a,

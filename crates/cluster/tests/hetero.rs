@@ -130,11 +130,8 @@ fn thermal_aware_beats_round_robin_on_the_mixed_catalog() {
 fn hundred_thousand_server_shape_stays_deterministic_across_threads() {
     // The kernel's scale structures (SoA server table, occupancy index,
     // calendar queue, group-representative dispatch) at the 100k-server
-    // shape the bench trajectory pins, smoke-sized job stream: outcomes
-    // and telemetry traces must stay byte-identical across thread counts.
-    // At 2500 racks each sample fans its per-rack cooling pass out to
-    // the worker threads, so the trace pins that threaded pass too.
-    // `Debug` prints floats at round-trip precision, so equal strings
+    // shape, smoke-sized job stream: outcomes and telemetry traces must
+    // stay byte-identical across warm-up thread counts. `Debug` prints floats at round-trip precision, so equal strings
     // pin bits.
     let jobs = diurnal_jobs(150, 23);
     let telemetry = TelemetryConfig {

@@ -27,14 +27,20 @@ pub struct Server {
 /// (the 0.5 mm paper default needs 4,608).
 const MAX_GRID_CELLS: f64 = (1u32 << 18) as f64;
 
-/// Checks that a `pitch_mm` thermal grid over the server package fits the
-/// cell budget, before anything is allocated. Callers check positivity
-/// themselves; a NaN pitch is rejected here.
+/// Checks that `pitch_mm` is a positive, finite thermal-grid pitch whose
+/// grid over the server package fits the cell budget, before anything is
+/// allocated.
 ///
 /// # Errors
 ///
-/// Names the pitch and the cell count it would need.
+/// Names the pitch, and the cell count it would need when that is what
+/// fails.
 pub fn check_grid_pitch(pitch_mm: f64) -> Result<(), String> {
+    if pitch_mm <= 0.0 || pitch_mm.is_infinite() {
+        return Err(format!(
+            "grid pitch {pitch_mm} mm must be positive and finite"
+        ));
+    }
     let package = PackageGeometry::xeon(&xeon_e5_v4());
     let extent = package.spreader_rect();
     // `GridSpec::with_pitch`'s cell counts, in floats so a tiny pitch
@@ -331,6 +337,14 @@ mod tests {
         for bad in [0.0663, 0.0001, 1e-300, f64::NAN] {
             let e = check_grid_pitch(bad).expect_err("pitch accepted");
             assert!(e.contains("thermal cells"), "{e}");
+        }
+    }
+
+    #[test]
+    fn grid_pitch_check_rejects_non_positive_and_infinite_pitches() {
+        for bad in [0.0, -0.0, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
+            let e = check_grid_pitch(bad).expect_err("pitch accepted");
+            assert!(e.contains("must be positive and finite"), "{e}");
         }
     }
 

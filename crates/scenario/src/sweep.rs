@@ -495,9 +495,9 @@ fn run_grid(
 
     // Phase 2: replay the grid across workers. Each point gets fresh
     // dispatcher *and* control instances (both can be stateful) and the
-    // leftover share of the thread budget for its own warm-up and
-    // telemetry fan-out; outcomes and traces are bit-identical at any
-    // worker count, so the split is pure scheduling.
+    // leftover share of the thread budget for its own warm-up; outcomes
+    // and traces are bit-identical at any worker count, so the split is
+    // pure scheduling.
     let workers = threads.clamp(1, scenarios.len().max(1));
     let inner_threads = tps_cluster::thread_budget(threads, workers);
     let next = AtomicUsize::new(0);

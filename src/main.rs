@@ -138,8 +138,7 @@ fn cmd_run(raw: &[String]) -> ExitCode {
         other => return fail(format!("unknown selector `{other}`")),
     };
     let pitch: f64 = match args.parsed("pitch", 1.0) {
-        Ok(p) if p > 0.0 => p,
-        Ok(_) => return fail("--pitch must be a positive number of millimetres"),
+        Ok(p) => p,
         Err(e) => return fail(e),
     };
     if let Err(e) = check_grid_pitch(pitch) {

@@ -67,6 +67,15 @@ fn a_grid_pitch_too_fine_to_allocate_exits_1_before_building() {
 }
 
 #[test]
+fn run_rejects_non_finite_pitches_naming_the_flag() {
+    for pitch in ["inf", "nan", "0"] {
+        let (code, err) = tps(&["run", "x264", "--pitch", pitch]);
+        assert_eq!(code, Some(1), "--pitch {pitch}: {err}");
+        assert!(err.starts_with("error: --pitch: grid pitch"), "{err}");
+    }
+}
+
+#[test]
 fn the_shards_flag_is_gone() {
     let (code, err) = tps_fleet(&["--shards", "2"]);
     assert_eq!(code, Some(1), "{err}");
